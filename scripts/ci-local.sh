@@ -44,9 +44,9 @@ if python -c "import pytest_cov" >/dev/null 2>&1; then
 fi
 
 if [ "${CI_LOCAL_FAST:-0}" = "1" ]; then
-    run python -m pytest -x -q -m "not slow" ${cov_flags[@]+"${cov_flags[@]}"}
+    run python -m pytest -x -q -m "not slow" --durations=15 ${cov_flags[@]+"${cov_flags[@]}"}
 else
-    run python -m pytest -x -q ${cov_flags[@]+"${cov_flags[@]}"}
+    run python -m pytest -x -q --durations=15 ${cov_flags[@]+"${cov_flags[@]}"}
 fi
 
 run python -m pytest benchmarks -q --benchmark-disable

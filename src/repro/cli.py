@@ -160,13 +160,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         write_latest(args.latest, snapshot)
     deltas = None
     if baseline is not None:
-        try:
-            deltas = compare_snapshots(
-                baseline, snapshot, tolerance=args.tolerance
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        deltas = compare_snapshots(
+            baseline, snapshot, tolerance=args.tolerance
+        )
     if args.json:
         payload = dict(snapshot)
         if deltas is not None:
@@ -333,28 +329,24 @@ def _cmd_concurrent(args: argparse.Namespace) -> int:
     )
     from repro.obs.profile import resolve_strategy
 
-    try:
-        mpls = _parse_mpl_list(args.mpl)
-        if args.strategy in (None, "all"):
-            strategies: list[str] = list(CONCURRENT_STRATEGIES)
-        else:
-            strategies = [
-                resolve_strategy(part)
-                for part in args.strategy.split(",")
-                if part.strip()
-            ]
-            if not strategies:
-                raise ValueError("--strategy must name at least one strategy")
-        if (args.trace_out or args.span_log) and (
-            len(strategies) != 1 or len(mpls) != 1
-        ):
-            raise ValueError(
-                "--trace-out/--span-log need exactly one strategy and one "
-                "MPL (a trace is one run's timeline)"
-            )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    mpls = _parse_mpl_list(args.mpl)
+    if args.strategy in (None, "all"):
+        strategies: list[str] = list(CONCURRENT_STRATEGIES)
+    else:
+        strategies = [
+            resolve_strategy(part)
+            for part in args.strategy.split(",")
+            if part.strip()
+        ]
+        if not strategies:
+            raise ValueError("--strategy must name at least one strategy")
+    if (args.trace_out or args.span_log) and (
+        len(strategies) != 1 or len(mpls) != 1
+    ):
+        raise ValueError(
+            "--trace-out/--span-log need exactly one strategy and one "
+            "MPL (a trace is one run's timeline)"
+        )
     params = SIM_SCALE_PARAMS.with_update_probability(args.update_probability)
     observations: list = []
     observation_factory = None
@@ -441,56 +433,44 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults.injector import FaultPlan
     from repro.obs.profile import resolve_strategy
 
+    if args.operations < 1:
+        raise ValueError("--operations must be >= 1")
     try:
-        if args.operations < 1:
-            raise ValueError("--operations must be >= 1")
-        try:
-            mpl = int(args.mpl)
-        except ValueError:
-            raise ValueError(f"--mpl expects one integer, got {args.mpl!r}")
-        if mpl < 1:
-            raise ValueError("--mpl must be >= 1")
-        try:
-            fault_events = int(args.fault_events)
-        except ValueError:
+        mpl = int(args.mpl)
+    except ValueError:
+        raise ValueError(f"--mpl expects one integer, got {args.mpl!r}")
+    if mpl < 1:
+        raise ValueError("--mpl must be >= 1")
+    try:
+        fault_events = int(args.fault_events)
+    except ValueError:
+        raise ValueError(
+            f"--fault-events expects an integer, got {args.fault_events!r}"
+        )
+    if fault_events < 1:
+        raise ValueError("--fault-events must be >= 1")
+    if args.strategy in (None, "all"):
+        strategies: list[str] = list(CHAOS_STRATEGIES)
+    else:
+        strategies = [
+            resolve_strategy(part)
+            for part in args.strategy.split(",")
+            if part.strip()
+        ]
+        if not strategies:
+            raise ValueError("--strategy must name at least one strategy")
+    if (args.trace_out or args.span_log) and len(strategies) != 1:
+        raise ValueError(
+            "--trace-out/--span-log need exactly one strategy "
+            "(a trace is one run's timeline)"
+        )
+    if args.kill_shard is not None:
+        if args.shards is None or args.shards < 2:
+            raise ValueError("--kill-shard requires --shards >= 2")
+        if not 0 <= args.kill_shard < args.shards:
             raise ValueError(
-                f"--fault-events expects an integer, got {args.fault_events!r}"
+                f"--kill-shard must be in [0, {args.shards - 1}]"
             )
-        if fault_events < 1:
-            raise ValueError("--fault-events must be >= 1")
-        if args.strategy in (None, "all"):
-            strategies: list[str] = list(CHAOS_STRATEGIES)
-        else:
-            strategies = [
-                resolve_strategy(part)
-                for part in args.strategy.split(",")
-                if part.strip()
-            ]
-            if not strategies:
-                raise ValueError("--strategy must name at least one strategy")
-        if (args.trace_out or args.span_log) and len(strategies) != 1:
-            raise ValueError(
-                "--trace-out/--span-log need exactly one strategy "
-                "(a trace is one run's timeline)"
-            )
-        if args.shards is not None and args.shards < 1:
-            raise ValueError("--shards must be >= 1")
-        if args.replicas not in (0, 1):
-            raise ValueError("--replicas must be 0 or 1 (one hot standby)")
-        if args.replicas and (args.shards is None or args.shards < 2):
-            raise ValueError("--replicas requires --shards >= 2")
-        if args.degrade and (args.shards is None or args.shards < 2):
-            raise ValueError("--degrade requires --shards >= 2")
-        if args.kill_shard is not None:
-            if args.shards is None or args.shards < 2:
-                raise ValueError("--kill-shard requires --shards >= 2")
-            if not 0 <= args.kill_shard < args.shards:
-                raise ValueError(
-                    f"--kill-shard must be in [0, {args.shards - 1}]"
-                )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     params = SIM_SCALE_PARAMS.with_update_probability(args.update_probability)
     plan = FaultPlan.seeded(args.seed, max_faults=fault_events)
     if args.kill_shard is not None:
@@ -618,61 +598,47 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         write_series_jsonl,
     )
 
+    strategy = resolve_strategy(args.strategy)
+    if args.operations < 1:
+        raise ValueError("--operations must be >= 1")
+    if args.window_ms <= 0:
+        raise ValueError("--window-ms must be positive")
     try:
-        strategy = resolve_strategy(args.strategy)
-        if args.operations < 1:
-            raise ValueError("--operations must be >= 1")
-        if args.window_ms <= 0:
-            raise ValueError("--window-ms must be positive")
-        try:
-            mpl = int(args.mpl)
-        except ValueError:
-            raise ValueError(f"--mpl expects one integer, got {args.mpl!r}")
-        if mpl < 1:
-            raise ValueError("--mpl must be >= 1")
-        try:
-            fault_events = int(args.fault_events)
-        except ValueError:
-            raise ValueError(
-                f"--fault-events expects an integer, got {args.fault_events!r}"
-            )
-        if fault_events < 1:
-            raise ValueError("--fault-events must be >= 1")
-        if args.shards is not None and args.shards < 1:
-            raise ValueError("--shards must be >= 1")
-        if args.replicas not in (0, 1):
-            raise ValueError("--replicas must be 0 or 1 (one hot standby)")
-        if args.replicas and (args.shards is None or args.shards < 2):
-            raise ValueError("--replicas requires --shards >= 2")
-        if args.batch_size is not None and args.batch_size < 1:
-            raise ValueError("--batch-size must be >= 1")
-        for chaos_only, name in (
-            (mpl > 1, "--mpl"),
-            (args.kill_shard is not None, "--kill-shard"),
-            (args.degrade, "--degrade"),
-        ):
-            if chaos_only and not args.chaos:
-                raise ValueError(f"{name} requires --chaos")
-        if args.degrade and (args.shards is None or args.shards < 2):
-            raise ValueError("--degrade requires --shards >= 2")
-        if args.kill_shard is not None:
-            if args.shards is None or args.shards < 2:
-                raise ValueError("--kill-shard requires --shards >= 2")
-            if not 0 <= args.kill_shard < args.shards:
-                raise ValueError(
-                    f"--kill-shard must be in [0, {args.shards - 1}]"
-                )
-        if args.chaos and args.batch_size is not None:
-            raise ValueError("--batch-size applies to plain runs only")
-        thresholds = HealthThresholds(
-            warn_invalidation_rate=args.warn_invalidation_rate,
-            critical_invalidation_rate=args.critical_invalidation_rate,
-            warn_lock_wait=args.warn_lock_wait,
-            critical_lock_wait=args.critical_lock_wait,
+        mpl = int(args.mpl)
+    except ValueError:
+        raise ValueError(f"--mpl expects one integer, got {args.mpl!r}")
+    if mpl < 1:
+        raise ValueError("--mpl must be >= 1")
+    try:
+        fault_events = int(args.fault_events)
+    except ValueError:
+        raise ValueError(
+            f"--fault-events expects an integer, got {args.fault_events!r}"
         )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if fault_events < 1:
+        raise ValueError("--fault-events must be >= 1")
+    for chaos_only, name in (
+        (mpl > 1, "--mpl"),
+        (args.kill_shard is not None, "--kill-shard"),
+        (args.degrade, "--degrade"),
+    ):
+        if chaos_only and not args.chaos:
+            raise ValueError(f"{name} requires --chaos")
+    if args.kill_shard is not None:
+        if args.shards is None or args.shards < 2:
+            raise ValueError("--kill-shard requires --shards >= 2")
+        if not 0 <= args.kill_shard < args.shards:
+            raise ValueError(
+                f"--kill-shard must be in [0, {args.shards - 1}]"
+            )
+    if args.chaos and args.batch_size is not None:
+        raise ValueError("--batch-size applies to plain runs only")
+    thresholds = HealthThresholds(
+        warn_invalidation_rate=args.warn_invalidation_rate,
+        critical_invalidation_rate=args.critical_invalidation_rate,
+        warn_lock_wait=args.warn_lock_wait,
+        critical_lock_wait=args.critical_lock_wait,
+    )
     params = SIM_SCALE_PARAMS.with_update_probability(args.update_probability)
     start = time.perf_counter()
     report = run_monitor(
@@ -760,27 +726,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.obs.profile import resolve_strategy
     from repro.serve import run_serve_load
 
-    try:
-        strategy = resolve_strategy(args.strategy)
-        if args.requests < 1:
-            raise ValueError("--requests must be >= 1")
-        if args.capacity < 1:
-            raise ValueError("--capacity must be >= 1")
-        if args.ttl_ms is not None and args.ttl_ms <= 0:
-            raise ValueError("--ttl-ms must be positive")
-        if args.mpl is not None and args.mpl < 1:
-            raise ValueError("--mpl must be >= 1")
-        if args.rate is not None and args.rate <= 0:
-            raise ValueError("--rate must be positive")
-        if args.zipf_s < 0:
-            raise ValueError("--zipf-s must be >= 0")
-        if args.shards is not None and args.shards < 1:
-            raise ValueError("--shards must be >= 1")
-        if not 0 <= args.update_probability < 1:
-            raise ValueError("-P/--update-probability must be in [0, 1)")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    strategy = resolve_strategy(args.strategy)
+    if args.requests < 1:
+        raise ValueError("--requests must be >= 1")
+    if args.capacity < 1:
+        raise ValueError("--capacity must be >= 1")
+    if args.ttl_ms is not None and args.ttl_ms <= 0:
+        raise ValueError("--ttl-ms must be positive")
+    if args.mpl is not None and args.mpl < 1:
+        raise ValueError("--mpl must be >= 1")
+    if args.rate is not None and args.rate <= 0:
+        raise ValueError("--rate must be positive")
+    if args.zipf_s < 0:
+        raise ValueError("--zipf-s must be >= 0")
+    if not 0 <= args.update_probability < 1:
+        raise ValueError("-P/--update-probability must be in [0, 1)")
     params = SIM_SCALE_PARAMS.with_update_probability(args.update_probability)
     result = run_serve_load(
         params,
@@ -932,13 +892,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         resolve_strategy,
     )
 
-    try:
-        strategy = resolve_strategy(args.strategy)
-        if args.operations < 1:
-            raise ValueError("--operations must be >= 1")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    strategy = resolve_strategy(args.strategy)
+    if args.operations < 1:
+        raise ValueError("--operations must be >= 1")
     params = SIM_SCALE_PARAMS.with_update_probability(args.update_probability)
     observation = None
     if _wants_artifacts(args):
@@ -1004,20 +960,15 @@ def _cmd_shard(args: argparse.Namespace) -> int:
 
     from repro.obs.profile import resolve_strategy
     from repro.shard import measure_sizing, render_sizing, scale_params
-    from repro.workload.database import build_database
 
-    try:
-        strategy = resolve_strategy(args.strategy)
-        shard_counts = sorted(
-            {int(part) for part in args.shards.split(",") if part.strip()}
-        )
-        if not shard_counts or any(s < 1 for s in shard_counts):
-            raise ValueError("--shards values must be integers >= 1")
-        if args.procedures is not None and args.procedures < 1:
-            raise ValueError("--procedures must be >= 1")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    strategy = resolve_strategy(args.strategy)
+    shard_counts = sorted(
+        {int(part) for part in args.shards.split(",") if part.strip()}
+    )
+    if not shard_counts:
+        raise ValueError("--shards must name at least one shard count")
+    if args.procedures is not None and args.procedures < 1:
+        raise ValueError("--procedures must be >= 1")
     if args.procedures is not None:
         params = scale_params(args.procedures, num_p2=args.p2)
     else:
@@ -1027,7 +978,6 @@ def _cmd_shard(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     reports = []
     for num_shards in shard_counts:
-        db = build_database(params, seed=args.seed)
         run = run_workload(
             params,
             strategy,
@@ -1035,12 +985,13 @@ def _cmd_shard(args: argparse.Namespace) -> int:
             num_operations=args.operations,
             seed=args.seed,
             warm_caches=False,
-            database=db,
             batch_size=args.batch_size,
             keep_manager=True,
             shards=num_shards,
         )
-        sizing = measure_sizing(db, run.manager.strategy, seed=args.seed)
+        sizing = measure_sizing(
+            run.database, run.manager.strategy, seed=args.seed
+        )
         payload = sizing.to_dict()
         payload["maint_ms_per_update"] = run.maintenance_cost_ms / max(
             1, run.num_updates
@@ -1810,6 +1761,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except ValueError as exc:
+        # Invalid usage, whether a command's own argument check raised it
+        # or a driver did (``build_stack``'s shard/replica rules, a batch
+        # size or MPL below 1) — one protocol for both.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Output piped into a pager/head that closed early — not an error.
         try:

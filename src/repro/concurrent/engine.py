@@ -36,7 +36,6 @@ runner: same stream, same rng, no contention, identical charges.
 from __future__ import annotations
 
 import heapq
-import random
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -45,8 +44,7 @@ from repro.concurrent.locks import AcquireStatus, LockManager, LockUnit
 from repro.concurrent.session import (
     ClientSession,
     OperationContext,
-    session_seed,
-    split_operations,
+    build_sessions,
 )
 from repro.core import BatchAccumulator, ProcedureManager
 from repro.model.params import ModelParams
@@ -54,10 +52,14 @@ from repro.query.executor import execute_plan
 from repro.query.optimizer import Optimizer
 from repro.query.plan import LockSpec
 from repro.sim import MetricSet
-from repro.workload.database import SyntheticDatabase, build_database
-from repro.workload.generator import OperationKind, generate_operations
-from repro.workload.procedures import build_procedures
-from repro.workload.runner import make_strategy
+from repro.workload.database import SyntheticDatabase
+from repro.workload.generator import OperationKind
+from repro.workload.runner import (
+    apply_change_set,
+    build_stack,
+    draw_update,
+    observed_window,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import CostAttribution
@@ -412,90 +414,30 @@ class _Engine:
     def _prepare_update(
         self, session: ClientSession, op
     ) -> OperationContext:
-        """Draw the change-set (same rng call sequence as the serial
-        runner's ``_perform_update``) and build write units from it."""
-        db = self.db
-        rng = session.rng
+        """Draw the change-set from the session rng (the serial runner's
+        :func:`~repro.workload.runner.draw_update`) and build write units
+        from it. R1 tuple identity is the position in the rid table:
+        stable across clustered relocations, unlike the RID."""
         relation = op.relation
-        l_tuples = op.tuples_to_modify
-        tracer = db.clock.tracer
-        base_span = (
-            nullcontext() if tracer is None else tracer.span("base.update")
+        keys, old_rows, new_rows = draw_update(
+            self.db, session.rng, relation, op.tuples_to_modify
         )
-        schema_names = db.catalog.get(relation).schema.names()
-        units: list[LockUnit] = []
-
-        def unit_for(key, old_row, new_row) -> LockUnit:
-            return LockUnit.write(
+        schema_names = self.db.catalog.get(relation).schema.names()
+        units = [
+            LockUnit.write(
                 relation,
-                key,
-                dict(zip(schema_names, old_row)),
-                dict(zip(schema_names, new_row)),
+                (relation, key),
+                dict(zip(schema_names, old)),
+                dict(zip(schema_names, new)),
             )
+            for key, old, new in zip(keys, old_rows, new_rows)
+        ]
 
-        if relation == "R1":
-            positions = rng.sample(
-                range(len(db.r1_rids)), min(l_tuples, len(db.r1_rids))
+        def execute() -> None:
+            apply_change_set(
+                self.db, self.manager, relation, keys, new_rows,
+                self._apply_update,
             )
-            new_rows: list[tuple] = []
-            with base_span:
-                for pos in positions:
-                    old = db.r1.heap.read(db.r1_rids[pos])
-                    new = (old[0], rng.randrange(db.sel_domain), old[2])
-                    new_rows.append(new)
-                    # Tuple identity = position in the rid table: stable
-                    # across clustered relocations, unlike the RID.
-                    units.append(unit_for(("R1", pos), old, new))
-
-            def execute() -> None:
-                changes = [
-                    (db.r1_rids[pos], new)
-                    for pos, new in zip(positions, new_rows)
-                ]
-                # finally: a fault mid-update may leave last_rids partial;
-                # zip truncation then fixes exactly the applied prefix so
-                # the rid table stays true to the relocations that landed.
-                try:
-                    self._apply_update("R1", changes, cluster_field="sel")
-                finally:
-                    for pos, new_rid in zip(
-                        positions, self.manager.last_rids
-                    ):
-                        db.r1_rids[pos] = new_rid
-
-        elif relation == "R2":
-            rids = rng.sample(db.r2_rids, min(l_tuples, len(db.r2_rids)))
-            changes2: list[tuple] = []
-            with base_span:
-                for rid in rids:
-                    old = db.r2.heap.read(rid)
-                    new = (
-                        old[0],
-                        old[1],
-                        rng.randrange(db.sel2_domain),
-                        old[3],
-                    )
-                    changes2.append((rid, new))
-                    units.append(unit_for(("R2", rid), old, new))
-
-            def execute() -> None:
-                self._apply_update("R2", changes2)
-
-        elif relation == "R3":
-            rids = rng.sample(db.r3_rids, min(l_tuples, len(db.r3_rids)))
-            changes3: list[tuple] = []
-            with base_span:
-                for rid in rids:
-                    old = db.r3.heap.read(rid)
-                    new = (old[0], old[1], rng.randrange(1_000_000))
-                    changes3.append((rid, new))
-                    units.append(unit_for(("R3", rid), old, new))
-
-            def execute() -> None:
-                self._apply_update("R3", changes3)
-
-        else:
-            raise ValueError(f"unknown update target relation {relation!r}")
 
         return OperationContext(op=op, units=units, execute=execute)
 
@@ -553,57 +495,21 @@ def run_concurrent_workload(
         raise ValueError("admission must be >= 1 (or None for no gate)")
     if degrade and (shards is None or shards < 2):
         raise ValueError("degrade requires shards >= 2")
-    db = build_database(params, seed=seed, buffer_capacity=buffer_capacity)
-    pop = build_procedures(db, params, model=model, seed=seed)
-    if shards is None:
-        strategy = make_strategy(
-            strategy_name, db, params, invalidation_scheme=invalidation_scheme
-        )
-    else:
-        from repro.shard import make_sharded_strategy
-
-        strategy = make_sharded_strategy(
-            strategy_name,
-            db,
-            params,
-            num_shards=shards,
-            invalidation_scheme=invalidation_scheme,
-            seed=seed,
-        )
-    manager = ProcedureManager(strategy)
-    for name, expr in pop.definitions:
-        manager.define_procedure(name, expr)
-
-    if warm_caches:
-        for name in pop.names:
-            manager.access(name)
-        manager.reset_counters()
+    db, pop, strategy, manager = build_stack(
+        params, strategy_name, model=model, seed=seed,
+        buffer_capacity=buffer_capacity,
+        invalidation_scheme=invalidation_scheme,
+        shards=shards, warm_caches=warm_caches,
+    )
+    # Footprint collection executes every plan once; measure from a clean
+    # clock afterwards.
     footprints = collect_footprints(db, manager)
     db.clock.reset()
-
-    sessions = []
-    for i, ops_count in enumerate(split_operations(num_operations, mpl)):
-        s_seed = session_seed(seed, i)
-        operations = list(
-            generate_operations(
-                params,
-                pop.names,
-                ops_count,
-                seed=s_seed,
-                update_weights=update_weights,
-            )
-        )
-        sessions.append(
-            ClientSession(
-                session_id=i,
-                operations=operations,
-                rng=random.Random(s_seed + 3),
-            )
-        )
+    sessions = build_sessions(
+        params, pop.names, num_operations, mpl, seed, update_weights
+    )
 
     measure_start = db.clock.snapshot()
-    if observation is not None:
-        observation.attach(db.clock)
     engine = _Engine(db, manager, sessions, footprints, batch_size=batch_size)
     if admission is not None:
         from repro.concurrent.admission import AdmissionGate
@@ -621,12 +527,9 @@ def run_concurrent_workload(
             )
 
         engine.wait_observer = observe_wait
-    try:
+    with observed_window(db, strategy, observation):
         engine.run()
         engine.drain_batches()
-    finally:
-        if observation is not None:
-            observation.detach()
 
     makespan = engine.makespan_ms
     committed = sum(s.committed for s in sessions)

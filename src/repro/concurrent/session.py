@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.concurrent.locks import LockUnit
-from repro.workload.generator import Operation
+from repro.workload.generator import Operation, generate_operations
 
 #: Seed stride between sessions. Session ``i`` draws its stream from
 #: ``seed + SESSION_SEED_STRIDE * i`` — zero for session 0, so MPL=1
@@ -85,3 +85,33 @@ def split_operations(total: int, mpl: int) -> list[int]:
         raise ValueError("num_operations must be >= 0")
     base, extra = divmod(total, mpl)
     return [base + (1 if i < extra else 0) for i in range(mpl)]
+
+
+def build_sessions(
+    params,
+    names: list[str],
+    num_operations: int,
+    mpl: int,
+    seed: int,
+    update_weights: Optional[dict[str, float]] = None,
+) -> list[ClientSession]:
+    """``mpl`` sessions sharing ``num_operations``: session ``i`` draws
+    its stream from :func:`session_seed` and its update randomness from
+    that seed + 3 — for session 0 exactly the serial runner's two rngs."""
+    sessions = []
+    for i, ops_count in enumerate(split_operations(num_operations, mpl)):
+        s_seed = session_seed(seed, i)
+        operations = list(
+            generate_operations(
+                params, names, ops_count, seed=s_seed,
+                update_weights=update_weights,
+            )
+        )
+        sessions.append(
+            ClientSession(
+                session_id=i,
+                operations=operations,
+                rng=random.Random(s_seed + 3),
+            )
+        )
+    return sessions

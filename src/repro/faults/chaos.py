@@ -29,23 +29,27 @@ retry queue for deliveries aimed at a mid-recovery shard.
 from __future__ import annotations
 
 import math
-import random
 import zlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.concurrent.engine import _Engine, collect_footprints
-from repro.concurrent.session import ClientSession, session_seed, split_operations
+from repro.concurrent.session import build_sessions
 from repro.faults.errors import CrashSignal, FaultError
 from repro.faults.injector import FaultInjector, FaultPlan
 from repro.faults.supervisor import RecoverySupervisor, SupervisedManager
 from repro.model.params import ModelParams
 from repro.obs import SCHEMA_VERSION, CostAttribution
+from repro.shard.degrade import OverloadController
+from repro.shard.faults import (
+    ShardedRecoverySupervisor,
+    strategy_wals,
+    wire_fault_domains,
+)
+from repro.shard.sizing import measure_sizing, register_metrics
 from repro.sim import MetricSet
-from repro.workload.database import SyntheticDatabase, build_database
-from repro.workload.generator import generate_operations
-from repro.workload.procedures import build_procedures
-from repro.workload.runner import make_strategy
+from repro.workload.database import SyntheticDatabase
+from repro.workload.runner import build_stack, observed_window
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.telemetry import TelemetryBus
@@ -76,32 +80,6 @@ def database_digest(db: SyntheticDatabase) -> str:
                     repr((name, page_no, slot_no, row)).encode(), crc
                 )
     return f"{crc:08x}"
-
-
-def _write_ahead_logs(strategy) -> list:
-    """Every WAL reachable from ``strategy`` — Cache and Invalidate with
-    the logged scheme, possibly nested inside hybrid, and (through a
-    sharded facade) every shard's primary *and* replica engines, so
-    ``wal_records_lost`` sums the whole population instead of one
-    engine's share."""
-    wals = []
-    stack = [strategy]
-    while stack:
-        current = stack.pop()
-        shards = getattr(current, "shards", None)
-        if shards is not None:
-            for shard in shards:
-                stack.append(shard.strategy)
-                if shard.replica is not None:
-                    stack.append(shard.replica)
-        subs = getattr(current, "_subs", None)
-        if subs is not None:
-            stack.extend(subs.values())
-        scheme = getattr(current, "scheme", None)
-        wal = getattr(scheme, "wal", None)
-        if wal is not None:
-            wals.append(wal)
-    return wals
 
 
 @dataclass
@@ -268,60 +246,35 @@ def run_chaos(
     """
     if mpl < 1:
         raise ValueError("multiprogramming level mpl must be >= 1")
-    if shards is not None and shards < 1:
-        raise ValueError("shards must be >= 1 (or None for unsharded)")
-    if replicas and (shards is None or shards < 2):
-        raise ValueError("replicas require shards >= 2")
     if degrade and (shards is None or shards < 2):
         raise ValueError("degrade requires shards >= 2")
     if plan is None:
         plan = FaultPlan.seeded(seed)
-    db = build_database(params, seed=seed, buffer_capacity=0)
-    pop = build_procedures(db, params, model=model, seed=seed)
-    scheme = (
-        invalidation_scheme if strategy_name == "cache_invalidate" else None
-    )
-    if shards is None:
-        strategy = make_strategy(
-            strategy_name, db, params, invalidation_scheme=scheme
-        )
-    else:
-        from repro.shard import make_sharded_strategy
-
-        strategy = make_sharded_strategy(
-            strategy_name,
-            db,
-            params,
-            num_shards=shards,
-            invalidation_scheme=scheme,
-            seed=seed,
-            replicas=replicas,
-        )
     sharded_domains = shards is not None and shards > 1
-    if sharded_domains:
-        from repro.shard.degrade import OverloadController
-        from repro.shard.faults import (
-            ShardedRecoverySupervisor,
-            wire_fault_domains,
-        )
 
-        # Per-shard fault domains (inert until armed) + the global
-        # injector for the legacy unprefixed points.
-        injector = wire_fault_domains(strategy, plan)
-        supervisor = ShardedRecoverySupervisor(strategy, injector)
-        if degrade:
-            strategy.controller = OverloadController(shards)
-    else:
-        injector = FaultInjector(plan)
-        supervisor = RecoverySupervisor(strategy, injector)
-    manager = SupervisedManager(strategy, supervisor)
-    for name, expr in pop.definitions:
-        manager.define_procedure(name, expr)
+    def supervised(strategy) -> SupervisedManager:
+        if sharded_domains:
+            # Per-shard fault domains (inert until armed) + the global
+            # injector for the legacy unprefixed points.
+            supervisor = ShardedRecoverySupervisor(
+                strategy, wire_fault_domains(strategy, plan)
+            )
+            if degrade:
+                strategy.controller = OverloadController(shards)
+        else:
+            supervisor = RecoverySupervisor(strategy, FaultInjector(plan))
+        return SupervisedManager(strategy, supervisor)
 
-    # Warm every cache fault-free, then measure from a clean clock.
-    for name in pop.names:
-        manager.access(name)
-    manager.reset_counters()
+    # Built and warmed fault-free (the injectors are not armed yet).
+    db, pop, strategy, manager = build_stack(
+        params, strategy_name, model=model, seed=seed, buffer_capacity=0,
+        invalidation_scheme=(
+            invalidation_scheme if strategy_name == "cache_invalidate" else None
+        ),
+        shards=shards, replicas=replicas, manager_factory=supervised,
+    )
+    supervisor = manager.supervisor
+    injector = supervisor.injector
     footprints = collect_footprints(db, manager)
     db.clock.reset()
 
@@ -329,7 +282,7 @@ def run_chaos(
     # every domain. Per-shard disks/WALs were wired above (inert until
     # now); the shared base-relation disk always takes the global
     # injector, so legacy points keep their pre-sharding meaning.
-    wals = _write_ahead_logs(strategy)
+    wals = strategy_wals(strategy)
     if sharded_domains:
         db.disk.injector = injector.global_injector
     else:
@@ -338,19 +291,7 @@ def run_chaos(
             wal.injector = injector
     injector.arm()
 
-    sessions = []
-    for i, ops_count in enumerate(split_operations(num_operations, mpl)):
-        s_seed = session_seed(seed, i)
-        operations = list(
-            generate_operations(params, pop.names, ops_count, seed=s_seed)
-        )
-        sessions.append(
-            ClientSession(
-                session_id=i,
-                operations=operations,
-                rng=random.Random(s_seed + 3),
-            )
-        )
+    sessions = build_sessions(params, pop.names, num_operations, mpl, seed)
 
     def handle_prepare_fault(exc: BaseException) -> bool:
         """Prepare-time faults (base reads before any lock is held): a
@@ -363,30 +304,16 @@ def run_chaos(
 
     if observation is None:
         observation = CostAttribution()
-    if telemetry is not None:
-        telemetry.configure(
-            num_shards=shards or 1,
-            shard_resolver=getattr(strategy, "shard_of", None),
-        )
-        observation.telemetry = telemetry
-        controller = getattr(strategy, "controller", None)
-        if controller is not None:
-            controller.telemetry = telemetry
     measure_start = db.clock.snapshot()
-    observation.attach(db.clock)
     engine = _Engine(db, manager, sessions, footprints)
     engine.fault_handler = handle_prepare_fault
-    try:
+    with observed_window(db, strategy, observation, telemetry):
         engine.run()
         engine_ms = db.clock.elapsed_since(measure_start)
         # Final oracle pass inside the observation window, so its charges
         # are attributed like everything else.
         oracle_ok = supervisor.verify_consistency()
-    finally:
-        observation.detach()
     clock_total_ms = db.clock.elapsed_since(measure_start)
-    if telemetry is not None:
-        telemetry.finalize(db.clock.elapsed_ms)
 
     failover = (
         strategy.failover_stats()
@@ -397,8 +324,6 @@ def run_chaos(
         # Post-run shard state for the manifest snapshot: the sizing
         # gauges plus each shard's final degradation rung (uncharged —
         # the measured window was captured above).
-        from repro.shard.sizing import measure_sizing, register_metrics
-
         register_metrics(
             measure_sizing(db, strategy, seed=seed), observation.registry
         )

@@ -194,14 +194,17 @@ class RecoverySupervisor:
 
     # -- the oracle -------------------------------------------------------
 
-    def verify_consistency(self) -> bool:
-        """Every procedure's answer must be bit-identical (as a sorted
-        multiset) to a fresh recompute against the current base relations.
-        Runs with injection suspended; charged under ``fault.oracle``."""
+    def verify_consistency(self, names: "list[str] | None" = None) -> bool:
+        """Every procedure's answer (or just ``names``' — the shard-scoped
+        oracle) must be bit-identical (as a sorted multiset) to a fresh
+        recompute against the current base relations. Runs with injection
+        suspended; charged under ``fault.oracle``."""
+        if names is None:
+            names = sorted(self.strategy.procedures)
         self.oracle_checks += 1
         ok = True
         with self.injector.suspended(), self._span(ORACLE_PHASE):
-            for name in sorted(self.strategy.procedures):
+            for name in names:
                 procedure = self.strategy.procedures[name]
                 expected = sorted(
                     procedure.project_rows(self.recompute(name), self.catalog)

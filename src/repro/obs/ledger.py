@@ -205,24 +205,23 @@ def run_bench_suite(operations: int = 120, seed: int = 7) -> dict:
         )
 
     from repro.shard import measure_sizing, scale_params
-    from repro.workload.database import build_database
 
     scale_ops = max(20, operations // 3)
     bpp: dict[tuple[int, int], float] = {}
     for population, num_shards in _SHARD_SCALE_POINTS:
         scale = scale_params(population)
-        db = build_database(scale, seed=seed)
         run = run_workload(
             scale,
             _SHARD_SCALE_STRATEGY,
             num_operations=scale_ops,
             seed=seed,
             warm_caches=False,
-            database=db,
             keep_manager=True,
             shards=num_shards,
         )
-        sizing = measure_sizing(db, run.manager.strategy, seed=seed)
+        sizing = measure_sizing(
+            run.database, run.manager.strategy, seed=seed
+        )
         bpp[(population, num_shards)] = sizing.bytes_per_procedure
         prefix = f"shard.scale.p{population}.s{num_shards}"
         metric(
@@ -245,19 +244,17 @@ def run_bench_suite(operations: int = 120, seed: int = 7) -> dict:
     )
 
     mix = scale_params(*_SHARD_MIX_POPULATION)
-    db = build_database(mix, seed=seed)
     run = run_workload(
         mix,
         _SHARD_SCALE_STRATEGY,
         num_operations=scale_ops,
         seed=seed,
         warm_caches=False,
-        database=db,
         update_weights=_SHARD_MIX_UPDATE_WEIGHTS,
         keep_manager=True,
         shards=_SHARD_MIX_SHARDS,
     )
-    sizing = measure_sizing(db, run.manager.strategy, seed=seed)
+    sizing = measure_sizing(run.database, run.manager.strategy, seed=seed)
     prefix = f"shard.scale.mix.s{_SHARD_MIX_SHARDS}"
     metric(
         f"{prefix}.router_mean_fanout",

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Any, Awaitable, Callable, Optional
 
 from repro.concurrent.admission import AdmissionGate
 from repro.serve.cache import ResultCache, canonical_key, canonical_rows
-from repro.workload.runner import _perform_update
+from repro.workload.runner import perform_update
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.manager import ProcedureManager
@@ -243,7 +243,7 @@ class ProcedureApp:
         if tuples < 1:
             return Response(400, {"error": "tuples must be >= 1"})
         before_invalidations = self.cache.invalidations
-        _perform_update(
+        perform_update(
             self.db, self.manager, self._rng, tuples, relation=relation
         )
         return Response(

@@ -27,10 +27,8 @@ from typing import TYPE_CHECKING, Optional
 from repro.core import ProcedureManager
 from repro.serve.app import ProcedureApp
 from repro.serve.cache import ResultCache, canonical_rows
-from repro.workload.database import build_database
 from repro.workload.generator import OperationKind, generate_operations
-from repro.workload.procedures import build_procedures
-from repro.workload.runner import _perform_update, make_strategy
+from repro.workload.runner import build_stack, perform_update
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.model.params import ModelParams
@@ -56,28 +54,10 @@ def build_serving_stack(
     """Build database + engine + front-tier cache + app from one seed,
     with the same construction conventions as ``run_workload`` (identical
     initial universe for a given ``(params, model, seed)``)."""
-    db = build_database(params, seed=seed)
-    pop = build_procedures(db, params, model=model, seed=seed)
-    if shards is None:
-        strategy = make_strategy(
-            strategy_name, db, params,
-            invalidation_scheme=invalidation_scheme,
-        )
-    else:
-        from repro.shard import make_sharded_strategy
-
-        strategy = make_sharded_strategy(
-            strategy_name, db, params, num_shards=shards,
-            invalidation_scheme=invalidation_scheme, seed=seed,
-        )
-    manager = ProcedureManager(strategy)
-    for name, expr in pop.definitions:
-        manager.define_procedure(name, expr)
-    if warm_caches:
-        for name in pop.names:
-            manager.access(name)
-        manager.reset_counters()
-        db.clock.reset()
+    db, _pop, _strategy, manager = build_stack(
+        params, strategy_name, model=model, seed=seed, shards=shards,
+        invalidation_scheme=invalidation_scheme, warm_caches=warm_caches,
+    )
     cache = ResultCache(
         db.clock,
         catalog=db.catalog,
@@ -302,27 +282,10 @@ def run_served_workload(
     the engine; with ``cached=True`` reads go through the result cache.
     Same seed → same stream → the two access logs must be identical.
     """
-    db = build_database(params, seed=seed)
-    pop = build_procedures(db, params, model=model, seed=seed)
-    if shards is None:
-        strategy = make_strategy(
-            strategy_name, db, params,
-            invalidation_scheme=invalidation_scheme,
-        )
-    else:
-        from repro.shard import make_sharded_strategy
-
-        strategy = make_sharded_strategy(
-            strategy_name, db, params, num_shards=shards,
-            invalidation_scheme=invalidation_scheme, seed=seed,
-        )
-    manager = ProcedureManager(strategy)
-    for name, expr in pop.definitions:
-        manager.define_procedure(name, expr)
-    for name in pop.names:
-        manager.access(name)
-    manager.reset_counters()
-    db.clock.reset()
+    db, pop, strategy, manager = build_stack(
+        params, strategy_name, model=model, seed=seed, shards=shards,
+        invalidation_scheme=invalidation_scheme,
+    )
 
     cache: Optional[ResultCache] = None
     if cached:
@@ -343,7 +306,7 @@ def run_served_workload(
     operations = generate_operations(params, pop.names, num_operations, seed=seed)
     for op in operations:
         if op.kind is OperationKind.UPDATE:
-            _perform_update(
+            perform_update(
                 db, manager, rng, op.tuples_to_modify, relation=op.relation
             )
             continue

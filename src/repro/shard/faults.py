@@ -34,17 +34,9 @@ from __future__ import annotations
 from contextlib import ExitStack, contextmanager
 from typing import TYPE_CHECKING, Iterator
 
-from repro.faults.errors import (
-    CrashSignal,
-    PageCorruptionError,
-    ShardCrashSignal,
-)
+from repro.faults.errors import CrashSignal, ShardCrashSignal
 from repro.faults.injector import FaultInjector, FaultPlan, ShardFaultInjector
-from repro.faults.supervisor import (
-    ORACLE_PHASE,
-    RECOVERY_PHASE,
-    RecoverySupervisor,
-)
+from repro.faults.supervisor import RECOVERY_PHASE, RecoverySupervisor
 from repro.shard.engine import REPLICA_PHASE, ShardedStrategy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -52,12 +44,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 def strategy_wals(strategy) -> list:
-    """Every WAL reachable from one (inner) strategy — Cache and
-    Invalidate with the logged scheme, possibly nested inside hybrid."""
+    """Every WAL reachable from ``strategy`` — Cache and Invalidate with
+    the logged scheme, possibly nested inside hybrid, and (through a
+    sharded facade) every shard's primary *and* replica engines, so a
+    sum over them covers the whole population, not one engine's share."""
     wals = []
     stack = [strategy]
     while stack:
         current = stack.pop()
+        for shard in getattr(current, "shards", ()):
+            stack.append(shard.strategy)
+            if shard.replica is not None:
+                stack.append(shard.replica)
         subs = getattr(current, "_subs", None)
         if subs is not None:
             stack.extend(subs.values())
@@ -257,36 +255,14 @@ class ShardedRecoverySupervisor(RecoverySupervisor):
         there must answer (through the facade, i.e. through routing and
         any degradation rung) bit-identically to a fresh unsharded
         recompute against the base relations."""
-        facade = self.facade
-        names = sorted(facade.shards[shard_id].strategy.procedures)
-        self.oracle_checks += 1
-        ok = True
-        with self.injector.suspended(), self._span(ORACLE_PHASE):
-            for name in names:
-                procedure = facade.procedures[name]
-                expected = sorted(
-                    procedure.project_rows(
-                        self.recompute(name), self.catalog
-                    )
-                )
-                try:
-                    actual = sorted(facade.access(name))
-                except PageCorruptionError:
-                    with self._span(RECOVERY_PHASE):
-                        facade.repair_procedure(name, self.recompute(name))
-                    self.repairs += 1
-                    actual = sorted(facade.access(name))
-                if actual != expected:
-                    ok = False
-                    self.oracle_failures += 1
-                    self.oracle_mismatches.append(name)
-                    self._event("fault.oracle.mismatch")
-        return ok
+        return super().verify_consistency(
+            sorted(self.facade.shards[shard_id].strategy.procedures)
+        )
 
-    def verify_consistency(self) -> bool:
+    def verify_consistency(self, names: "list[str] | None" = None) -> bool:
         """The full oracle refuses to run over a half-dead engine: any
         shard still down is recovered (and shard-verified) first, then
         every procedure is checked as in the base class."""
         for shard_id in self.facade.down_shards():
             self.recover_shard(shard_id)
-        return super().verify_consistency()
+        return super().verify_consistency(names)

@@ -10,9 +10,9 @@ detail the analytical model cannot give.
 from __future__ import annotations
 
 import random
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.core import (
     STRATEGY_CLASSES,
@@ -73,9 +73,11 @@ class RunResult:
     #: Per-access ``(procedure, rows)`` log, in stream order (only when
     #: the run was asked to record accesses — the differential harness).
     access_log: list[tuple[str, tuple]] = field(default_factory=list)
-    #: The manager (with its strategy state) — only when ``keep_manager``
-    #: was requested; lets tests inspect invalidation/cache state.
+    #: The manager (with its strategy state) and the database it ran
+    #: over — only when ``keep_manager`` was requested; lets tests and the
+    #: sizing layer inspect post-run state.
     manager: "ProcedureManager | None" = None
+    database: "SyntheticDatabase | None" = None
 
     @property
     def observed_update_probability(self) -> float:
@@ -153,14 +155,198 @@ def make_strategy(
         raise ValueError(
             "invalidation_scheme only applies to cache_invalidate"
         )
-    elif cls.strategy_name.value == "always_recompute":
-        kwargs = {}
     if cls.strategy_name.value == "always_recompute":
         kwargs = {}
     return cls(db.catalog, buffer, db.clock, **kwargs)
 
 
-def _perform_update(
+def build_stack(
+    params: ModelParams,
+    strategy_name: str,
+    model: int = 1,
+    seed: int = 0,
+    buffer_capacity: int = 0,
+    invalidation_scheme: str | None = None,
+    shards: int | None = None,
+    replicas: int = 0,
+    warm_caches: bool = True,
+    database: SyntheticDatabase | None = None,
+    population: ProcedurePopulation | None = None,
+    manager_factory: Callable[
+        [ProcedureStrategy], ProcedureManager
+    ] = ProcedureManager,
+) -> tuple[
+    SyntheticDatabase, ProcedurePopulation, ProcedureStrategy, ProcedureManager
+]:
+    """Assemble the universe every ``run_*`` driver starts from and return
+    the ``(db, population, strategy, manager)`` it built.
+
+    One construction order, so every strategy and every driver sees the
+    identical initial state for a given ``(params, model, seed)``:
+    database -> procedure population (both from ``seed``) -> strategy
+    (plain for ``shards=None``, else the ``repro.shard`` facade, which
+    derives its per-shard streams from ``seed``) ->
+    ``manager_factory(strategy)`` -> define every procedure (uncharged)
+    -> with ``warm_caches``, access each once, then zero the manager
+    counters and reset the clock, so the warm-up is off the books.
+
+    ``database``/``population`` substitute pre-built ones (they must
+    match ``params``/``model``/``seed``). ``manager_factory`` receives
+    the finished strategy — the chaos driver builds its supervisor and
+    fault domains there and returns a ``SupervisedManager``.
+
+    Raises ``ValueError`` (before building anything) for ``shards < 1``
+    or ``replicas`` without ``shards >= 2``.
+    """
+    if shards is not None and shards < 1:
+        raise ValueError("shards must be >= 1")
+    if replicas and (shards is None or shards < 2):
+        raise ValueError("replicas require shards >= 2")
+    db = database if database is not None else build_database(
+        params, seed=seed, buffer_capacity=buffer_capacity
+    )
+    pop = population if population is not None else build_procedures(
+        db, params, model=model, seed=seed
+    )
+    if shards is None:
+        strategy = make_strategy(
+            strategy_name, db, params,
+            invalidation_scheme=invalidation_scheme,
+        )
+    else:
+        from repro.shard import make_sharded_strategy
+
+        strategy = make_sharded_strategy(
+            strategy_name, db, params, num_shards=shards,
+            invalidation_scheme=invalidation_scheme, seed=seed,
+            replicas=replicas,
+        )
+    manager = manager_factory(strategy)
+    for name, expr in pop.definitions:
+        manager.define_procedure(name, expr)
+    if warm_caches:
+        for name in pop.names:
+            manager.access(name)
+        manager.reset_counters()
+        db.clock.reset()
+    return db, pop, strategy, manager
+
+
+@contextmanager
+def observed_window(
+    db: SyntheticDatabase,
+    strategy: ProcedureStrategy,
+    observation: "CostAttribution | None",
+    telemetry: "TelemetryBus | None" = None,
+) -> Iterator[None]:
+    """Attach ``observation`` (and the ``telemetry`` bus riding it) to the
+    clock for the measured window: configure the bus for the strategy's
+    shard layout, wire it into the attribution sink and any overload
+    controller, detach on the way out — also on error — and close the
+    bus's open windows once the run completed."""
+    if telemetry is not None:
+        telemetry.configure(
+            num_shards=len(getattr(strategy, "shards", ())) or 1,
+            shard_resolver=getattr(strategy, "shard_of", None),
+        )
+        observation.telemetry = telemetry
+        controller = getattr(strategy, "controller", None)
+        if controller is not None:
+            controller.telemetry = telemetry
+    if observation is not None:
+        observation.attach(db.clock)
+    try:
+        yield
+    finally:
+        if observation is not None:
+            observation.detach()
+    if telemetry is not None:
+        telemetry.finalize(db.clock.elapsed_ms)
+
+
+def draw_update(
+    db: SyntheticDatabase, rng: random.Random, relation: str, l_tuples: int
+) -> tuple[list, list[Row], list[Row]]:
+    """Draw one update transaction's change-set: ``l`` distinct tuples of
+    ``relation`` and a re-randomised value for each, as
+    ``(keys, old_rows, new_rows)``.
+
+    - ``R1``: re-randomise ``sel`` (the paper's workload).
+    - ``R2``: re-randomise ``sel2`` (join keys stay stable).
+    - ``R3``: re-randomise the payload.
+
+    ``keys`` name the picked tuples: RIDs for R2/R3, and for R1
+    *positions* in ``db.r1_rids`` — stable across the clustered
+    relocations that change an R1 tuple's RID. The rng call sequence
+    (one ``sample``, then one ``randrange`` after each pre-read) is the
+    contract every driver's determinism rests on.
+
+    The pre-reads are base-update work (the paper excludes them from the
+    per-access metric); they are tagged so attribution agrees.
+    """
+    randrange = rng.randrange
+    if relation == "R1":
+        rid_table, heap = db.r1_rids, db.r1.heap
+
+        def redraw(old: Row) -> Row:
+            return (old[0], randrange(db.sel_domain), old[2])
+    elif relation == "R2":
+        rid_table, heap = db.r2_rids, db.r2.heap
+
+        def redraw(old: Row) -> Row:
+            return (old[0], old[1], randrange(db.sel2_domain), old[3])
+    elif relation == "R3":
+        rid_table, heap = db.r3_rids, db.r3.heap
+
+        def redraw(old: Row) -> Row:
+            return (old[0], old[1], randrange(1_000_000))
+    else:
+        raise ValueError(f"unknown update target relation {relation!r}")
+    count = min(l_tuples, len(rid_table))
+    if relation == "R1":
+        keys = rng.sample(range(len(rid_table)), count)
+        rids = [rid_table[pos] for pos in keys]
+    else:
+        keys = rids = rng.sample(rid_table, count)
+    tracer = db.clock.tracer
+    old_rows: list[Row] = []
+    new_rows: list[Row] = []
+    with nullcontext() if tracer is None else tracer.span("base.update"):
+        for rid in rids:
+            old = heap.read(rid)  # pre-read, base cost
+            old_rows.append(old)
+            new_rows.append(redraw(old))
+    return keys, old_rows, new_rows
+
+
+def apply_change_set(
+    db: SyntheticDatabase,
+    manager: ProcedureManager,
+    relation: str,
+    keys: list,
+    new_rows: list[Row],
+    update: Callable[..., object],
+) -> None:
+    """Apply a :func:`draw_update` change-set through ``update``
+    (``manager.update`` or any callable with its signature). R1 positions
+    resolve to RIDs *now* — a concurrent session may have relocated the
+    tuples since the draw — the change is clustered on ``sel`` (the
+    B-tree relocates moved tuples next to their new key neighbours), and
+    the rid table follows the relocations that landed: a fault
+    mid-update leaves ``last_rids`` partial, and zip truncation then
+    fixes exactly the applied prefix."""
+    if relation != "R1":
+        update(relation, list(zip(keys, new_rows)))
+        return
+    changes = [(db.r1_rids[pos], new) for pos, new in zip(keys, new_rows)]
+    try:
+        update(relation, changes, cluster_field="sel")
+    finally:
+        for pos, new_rid in zip(keys, manager.last_rids):
+            db.r1_rids[pos] = new_rid
+
+
+def perform_update(
     db: SyntheticDatabase,
     manager: ProcedureManager,
     rng: random.Random,
@@ -168,74 +354,24 @@ def _perform_update(
     relation: str = "R1",
     batch: "DeltaBatch | None" = None,
 ) -> None:
-    """One update transaction: modify ``l`` distinct tuples of ``relation``
-    in place.
-
-    - ``R1``: re-randomise ``sel`` (the paper's workload); the clustered
-      B-tree relocates moved tuples next to their new key neighbours.
-    - ``R2``: re-randomise ``sel2`` (join keys stay stable).
-    - ``R3``: re-randomise the payload.
-
-    The paper only ever updates R1; the other cases power the §8
-    update-mix extension benches.
+    """One update transaction: draw ``l`` distinct tuples of ``relation``
+    (:func:`draw_update`) and modify them in place. The paper only ever
+    updates R1; R2/R3 power the §8 update-mix extension benches.
 
     With ``batch`` given, the base changes apply immediately (identical
     rng draws, pre-reads, and rid bookkeeping) but strategy maintenance is
     deferred: the transaction's delta is appended to the batch for a later
     :meth:`ProcedureManager.maintain_batch`.
     """
+    keys, _old_rows, new_rows = draw_update(db, rng, relation, l_tuples)
+    if batch is None:
+        update = manager.update
+    else:
 
-    def apply(changes: list[tuple], cluster_field: str | None = None) -> None:
-        if batch is None:
-            manager.update(relation, changes, cluster_field=cluster_field)
-        else:
-            batch.add_transaction(
-                *manager.update_deferred(
-                    relation, changes, cluster_field=cluster_field
-                )
-            )
-    # The pre-reads below are base-update work (the paper excludes them
-    # from the per-access metric); tag them so attribution agrees.
-    tracer = db.clock.tracer
-    base_span = (
-        nullcontext() if tracer is None else tracer.span("base.update")
-    )
-    if relation == "R1":
-        positions = rng.sample(
-            range(len(db.r1_rids)), min(l_tuples, len(db.r1_rids))
-        )
-        changes: list[tuple] = []
-        with base_span:
-            for pos in positions:
-                rid = db.r1_rids[pos]
-                old: Row = db.r1.heap.read(rid)  # pre-read, base cost
-                new = (old[0], rng.randrange(db.sel_domain), old[2])
-                changes.append((rid, new))
-        apply(changes, cluster_field="sel")
-        for pos, new_rid in zip(positions, manager.last_rids):
-            db.r1_rids[pos] = new_rid
-        return
-    if relation == "R2":
-        rids = rng.sample(db.r2_rids, min(l_tuples, len(db.r2_rids)))
-        changes = []
-        with base_span:
-            for rid in rids:
-                old = db.r2.heap.read(rid)
-                new = (old[0], old[1], rng.randrange(db.sel2_domain), old[3])
-                changes.append((rid, new))
-        apply(changes)
-        return
-    if relation == "R3":
-        rids = rng.sample(db.r3_rids, min(l_tuples, len(db.r3_rids)))
-        changes = []
-        with base_span:
-            for rid in rids:
-                old = db.r3.heap.read(rid)
-                new = (old[0], old[1], rng.randrange(1_000_000))
-                changes.append((rid, new))
-        apply(changes)
-        return
-    raise ValueError(f"unknown update target relation {relation!r}")
+        def update(*args, **kwargs) -> None:
+            batch.add_transaction(*manager.update_deferred(*args, **kwargs))
+
+    apply_change_set(db, manager, relation, keys, new_rows, update)
 
 
 def run_workload(
@@ -292,8 +428,8 @@ def run_workload(
             through the batch pipeline and is bit-identical to it.
         record_accesses: capture every access's ``(procedure, rows)`` in
             ``RunResult.access_log`` (the differential harness's probe).
-        keep_manager: expose the manager (with live strategy state) on the
-            result for post-run inspection.
+        keep_manager: expose the manager (with live strategy state) and
+            the database on the result for post-run inspection.
         shards: run the strategy behind the ``repro.shard`` engine with
             this many shards. ``None`` (default) is the unsharded engine;
             ``1`` routes through the sharded facade bit-identically.
@@ -310,37 +446,13 @@ def run_workload(
     """
     if batch_size is not None and batch_size < 1:
         raise ValueError("batch_size must be >= 1 (or None for unbatched)")
-    if replicas and (shards is None or shards < 2):
-        raise ValueError("replicas require shards >= 2")
-    db = database if database is not None else build_database(
-        params, seed=seed, buffer_capacity=buffer_capacity
+    db, pop, strategy, manager = build_stack(
+        params, strategy_name, model=model, seed=seed,
+        buffer_capacity=buffer_capacity,
+        invalidation_scheme=invalidation_scheme,
+        shards=shards, replicas=replicas, warm_caches=warm_caches,
+        database=database, population=population,
     )
-    pop = population if population is not None else build_procedures(
-        db, params, model=model, seed=seed
-    )
-
-    if shards is None:
-        strategy = make_strategy(
-            strategy_name, db, params,
-            invalidation_scheme=invalidation_scheme,
-        )
-    else:
-        from repro.shard import make_sharded_strategy
-
-        strategy = make_sharded_strategy(
-            strategy_name, db, params, num_shards=shards,
-            invalidation_scheme=invalidation_scheme, seed=seed,
-            replicas=replicas,
-        )
-    manager = ProcedureManager(strategy)
-    for name, expr in pop.definitions:
-        manager.define_procedure(name, expr)
-
-    if warm_caches:
-        for name in pop.names:
-            manager.access(name)
-        manager.reset_counters()
-        db.clock.reset()
 
     rng = random.Random(seed + 3)
     metrics = MetricSet()
@@ -354,28 +466,20 @@ def run_workload(
             access_log.append((name, tuple(result.rows)))
 
     measure_start = db.clock.snapshot()
-    if telemetry is not None:
-        if observation is None:
-            from repro.obs import CostAttribution
+    if telemetry is not None and observation is None:
+        from repro.obs import CostAttribution
 
-            observation = CostAttribution()
-        telemetry.configure(
-            num_shards=shards or 1,
-            shard_resolver=getattr(strategy, "shard_of", None),
-        )
-        observation.telemetry = telemetry
-    if observation is not None:
-        observation.attach(db.clock)
+        observation = CostAttribution()
     operations = generate_operations(
         params, pop.names, num_operations, seed=seed,
         update_weights=update_weights,
     )
-    try:
+    with observed_window(db, strategy, observation, telemetry):
         if batch_size is None:
             for op in operations:
                 if op.kind is OperationKind.UPDATE:
                     before = db.clock.snapshot()
-                    _perform_update(
+                    perform_update(
                         db, manager, rng, op.tuples_to_modify,
                         relation=op.relation,
                     )
@@ -397,7 +501,7 @@ def run_workload(
                 batch = DeltaBatch(group[0].relation)
                 before = db.clock.snapshot()
                 for op in group:
-                    _perform_update(
+                    perform_update(
                         db, manager, rng, op.tuples_to_modify,
                         relation=op.relation, batch=batch,
                     )
@@ -409,11 +513,6 @@ def run_workload(
                 metrics.observe(
                     "batch_transactions", float(batch.num_transactions)
                 )
-    finally:
-        if observation is not None:
-            observation.detach()
-    if telemetry is not None:
-        telemetry.finalize(db.clock.elapsed_ms)
 
     return RunResult(
         strategy=strategy_name,
@@ -448,4 +547,5 @@ def run_workload(
         shards=shards,
         access_log=access_log,
         manager=manager if keep_manager else None,
+        database=db if keep_manager else None,
     )

@@ -4,8 +4,9 @@ Every subcommand speaks the same three-valued protocol: **0** success,
 **1** a run that executed but failed its gate, **2** invalid usage
 (rejected before any simulation runs, with an ``error:`` line on
 stderr). Scattered per-command tests each pin one cell; this table pins
-the *policy* across profile / chaos / bench / monitor / serve, so a new
-flag that validates inconsistently fails here by name.
+the *policy* across simulate / profile / concurrent / chaos / bench /
+monitor / serve / shard, so a new flag that validates inconsistently
+fails here by name.
 """
 
 from __future__ import annotations
@@ -40,6 +41,16 @@ USAGE_ERRORS = [
     ("serve-bad-zipf", ["serve", "--zipf-s", "-1"]),
     ("serve-bad-shards", ["serve", "--shards", "0"]),
     ("serve-bad-probability", ["serve", "-P", "1.5"]),
+    # Rejected by build_stack / the drivers, mapped to exit 2 in main().
+    ("simulate-bad-shards", ["simulate", "--shards", "0"]),
+    ("profile-bad-shards", ["profile", "--shards", "0"]),
+    ("concurrent-bad-shards", ["concurrent", "--shards", "0"]),
+    ("simulate-bad-batch", ["simulate", "--batch-size", "0"]),
+    ("concurrent-bad-batch", ["concurrent", "--batch-size", "0"]),
+    ("chaos-bad-shards", ["chaos", "--shards", "0"]),
+    ("chaos-replicas-unsharded", ["chaos", "--replicas", "1"]),
+    ("monitor-bad-shards", ["monitor", "--shards", "0"]),
+    ("shard-bad-shards", ["shard", "--shards", "0"]),
 ]
 
 

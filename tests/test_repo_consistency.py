@@ -134,3 +134,47 @@ class TestReadme:
         readme = (ROOT / "README.md").read_text()
         for match in re.finditer(r"examples/(\w+\.py)", readme):
             assert (ROOT / "examples" / match.group(1)).exists()
+
+
+class TestOneAssembly:
+    """``build_stack`` is the only place a run is assembled and
+    ``draw_update`` the only place a change-set is drawn — the per-driver
+    copies they replaced must not grow back."""
+
+    SRC = ROOT / "src" / "repro"
+
+    def _call_sites(self, name: str) -> dict[str, int]:
+        """``{file: count}`` of calls to ``name`` (definitions excluded)."""
+        pattern = re.compile(rf"(?<!def )(?<!class )\b{name}\(")
+        counts = {
+            path.relative_to(self.SRC).as_posix(): len(
+                pattern.findall(path.read_text())
+            )
+            for path in self.SRC.rglob("*.py")
+        }
+        return {path: n for path, n in counts.items() if n}
+
+    def test_only_build_stack_assembles(self):
+        for name in ("build_procedures", "make_sharded_strategy"):
+            assert self._call_sites(name) == {"workload/runner.py": 1}, name
+        # Managers are instantiated through build_stack's factory alone
+        # (chaos hands it the one SupervisedManager constructor).
+        assert self._call_sites("ProcedureManager") == {}
+        assert self._call_sites("SupervisedManager") == {"faults/chaos.py": 1}
+
+    def test_only_draw_update_draws_change_sets(self):
+        draws = {
+            path: n
+            for path, n in self._call_sites("randrange").items()
+            if path not in (
+                "workload/database.py",    # initial table content
+                "workload/procedures.py",  # procedure intervals
+                "workload/generator.py",   # operation stream
+            )
+        }
+        # One redraw rule per relation, all inside draw_update.
+        assert draws == {"workload/runner.py": 3}
+        assert self._call_sites("draw_update") == {
+            "workload/runner.py": 1,   # perform_update
+            "concurrent/engine.py": 1,  # _Engine._prepare_update
+        }

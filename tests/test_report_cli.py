@@ -1,6 +1,44 @@
 """Tests for the one-shot reproduction report and its CLI verb."""
 
+import copy
+
+import pytest
+
 from repro.experiments.summary import build_report
+
+
+@pytest.fixture(scope="module")
+def bench_latest(tmp_path_factory):
+    """The module's one real ``bench --operations 40`` execution, kept
+    as the ``--latest`` file it wrote."""
+    from repro.cli import main
+
+    root = tmp_path_factory.mktemp("bench")
+    latest = root / "BENCH_latest.json"
+    history = root / "BENCH_history.jsonl"
+    code = main(
+        ["bench", "--operations", "40",
+         "--latest", str(latest), "--history", str(history)]
+    )
+    assert code == 0
+    assert len(history.read_text().splitlines()) == 1
+    return latest
+
+
+@pytest.fixture
+def replayed_suite(bench_latest, monkeypatch):
+    """Further ``bench`` invocations replay that execution instead of
+    re-simulating (the suite is deterministic — ``tests/test_ledger.py``
+    runs it twice to prove it)."""
+    from repro.obs import ledger
+
+    snapshot = ledger.load_snapshot(str(bench_latest))
+
+    def replay(operations, seed):
+        assert (operations, seed) == (snapshot["operations"], snapshot["seed"])
+        return copy.deepcopy(snapshot)
+
+    monkeypatch.setattr(ledger, "run_bench_suite", replay)
 
 
 class TestBuildReport:
@@ -35,8 +73,6 @@ class TestCliContract:
     """Exit codes and discoverability shared by every subcommand."""
 
     def test_help_epilog_lists_all_subcommands(self, capsys):
-        import pytest
-
         from repro.cli import build_parser, main
 
         sub_names = sorted(
@@ -56,8 +92,6 @@ class TestCliContract:
         assert "concurrent" in sub_names
 
     def test_unknown_subcommand_exits_2(self, capsys):
-        import pytest
-
         from repro.cli import main
 
         with pytest.raises(SystemExit) as excinfo:
@@ -210,7 +244,7 @@ class TestBenchCli:
         assert "cannot load baseline" in capsys.readouterr().err
 
     def test_bench_writes_ledger_and_self_compares(
-        self, capsys, tmp_path, monkeypatch
+        self, capsys, tmp_path, monkeypatch, replayed_suite
     ):
         import json
 
@@ -240,7 +274,7 @@ class TestBenchCli:
                    .read_text().splitlines()) == 2
 
     def test_bench_gate_trips_on_regression(
-        self, capsys, tmp_path, monkeypatch
+        self, capsys, tmp_path, monkeypatch, replayed_suite
     ):
         import json
 

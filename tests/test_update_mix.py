@@ -87,7 +87,7 @@ class TestCrossStrategyEquivalenceUnderMixedUpdates:
         and RVM's right-side propagation, all at once: every strategy must
         return identical rows on an identical mixed-update stream."""
         from repro.workload.generator import generate_operations
-        from repro.workload.runner import _perform_update
+        from repro.workload.runner import perform_update
 
         traces = {}
         for name in (
@@ -113,7 +113,7 @@ class TestCrossStrategyEquivalenceUnderMixedUpdates:
             )
             for op in ops:
                 if op.kind is OperationKind.UPDATE:
-                    _perform_update(
+                    perform_update(
                         db, manager, rng, op.tuples_to_modify, op.relation
                     )
                 else:

@@ -12,7 +12,12 @@ from repro.workload import (
     generate_operations,
 )
 from repro.workload.generator import LocalityChooser, Operation, OperationKind
-from repro.workload.runner import make_strategy, run_workload
+from repro.workload.runner import (
+    build_stack,
+    draw_update,
+    make_strategy,
+    run_workload,
+)
 
 PARAMS = ModelParams(
     n_tuples=2000,
@@ -214,3 +219,162 @@ class TestRunner:
             "cache_invalidate", db, PARAMS.replace(inval_cost_ms=60.0)
         )
         assert strategy.c_inval == 60.0
+
+
+def _drivers():
+    """``name -> callable(**kwargs)`` running each ``build_stack`` caller
+    with an empty stream (the assembly is all that executes)."""
+    from repro.concurrent.engine import run_concurrent_workload
+    from repro.faults.chaos import run_chaos
+    from repro.serve.load import build_serving_stack, run_served_workload
+
+    strategy = "update_cache_rvm"
+    return {
+        "run_workload": lambda **kw: run_workload(
+            PARAMS, strategy, num_operations=0, seed=5, **kw
+        ),
+        "run_concurrent_workload": lambda **kw: run_concurrent_workload(
+            PARAMS, strategy, mpl=2, num_operations=0, seed=5, **kw
+        ),
+        "run_chaos": lambda **kw: run_chaos(
+            PARAMS, strategy, num_operations=0, seed=5, **kw
+        ),
+        "build_serving_stack": lambda **kw: build_serving_stack(
+            PARAMS, strategy, seed=5, **kw
+        ),
+        "run_served_workload": lambda **kw: run_served_workload(
+            PARAMS, strategy, num_operations=0, seed=5, **kw
+        ),
+    }
+
+
+class TestBuildStack:
+    def test_every_driver_starts_from_the_same_universe(self, monkeypatch):
+        """Each driver's own call to ``build_stack`` hands back the same
+        warmed database, a zeroed clock and zeroed counters."""
+        import repro.concurrent.engine as engine
+        import repro.faults.chaos as chaos
+        import repro.serve.load as load
+        import repro.workload.runner as runner
+
+        seen = []
+
+        def recording(*args, **kwargs):
+            stack = build_stack(*args, **kwargs)
+            db, pop, strategy, manager = stack
+            seen.append((
+                chaos.database_digest(db),
+                db.clock.elapsed_ms,
+                manager.num_accesses,
+                pop.names,
+                sorted(strategy.procedures),
+            ))
+            return stack
+
+        for module in (runner, engine, chaos, load):
+            monkeypatch.setattr(module, "build_stack", recording)
+        for run in _drivers().values():
+            run()
+        assert len(seen) == 5
+        assert all(universe == seen[0] for universe in seen)
+        digest, clock_ms, accesses, names, defined = seen[0]
+        assert clock_ms == 0.0 and accesses == 0
+        assert sorted(names) == defined
+
+    def test_warm_up_fills_caches_off_the_books(self):
+        from repro.faults.chaos import database_digest
+
+        cold = build_stack(
+            PARAMS, "cache_invalidate", seed=5, warm_caches=False
+        )
+        warm = build_stack(PARAMS, "cache_invalidate", seed=5)
+        assert database_digest(cold[0]) != database_digest(warm[0])
+        for db, _pop, _strategy, manager in (cold, warm):
+            assert db.clock.elapsed_ms == 0.0
+            assert manager.num_accesses == 0
+            assert manager.access_cost_ms == 0.0
+
+    @pytest.mark.parametrize("driver", sorted(_drivers()))
+    def test_bad_shard_count_is_one_error(self, driver):
+        with pytest.raises(ValueError, match="^shards must be >= 1$"):
+            _drivers()[driver](shards=0)
+
+    @pytest.mark.parametrize("driver", ["run_workload", "run_chaos"])
+    @pytest.mark.parametrize("shards", [None, 1])
+    def test_replicas_need_two_shards(self, driver, shards):
+        with pytest.raises(ValueError, match="^replicas require shards >= 2$"):
+            _drivers()[driver](shards=shards, replicas=1)
+
+    def test_manager_factory_is_honoured(self):
+        from repro.core import ProcedureManager
+
+        built_over = []
+
+        class Recording(ProcedureManager):
+            def __init__(self, strategy):
+                super().__init__(strategy)
+                built_over.append(len(strategy.procedures))
+
+        db, pop, strategy, manager = build_stack(
+            PARAMS, "cache_invalidate", seed=1, manager_factory=Recording
+        )
+        assert isinstance(manager, Recording)
+        assert manager.strategy is strategy
+        # Built over the bare strategy; procedures are defined through it.
+        assert built_over == [0]
+        assert len(strategy.procedures) == len(pop.names)
+
+    def test_prebuilt_database_and_population_are_used(self, db):
+        pop = build_procedures(db, PARAMS, model=1, seed=3)
+        built = build_stack(
+            PARAMS, "always_recompute", seed=3, database=db, population=pop
+        )
+        assert built[0] is db and built[1] is pop
+
+
+# First change-set drawn from ``Random(seed + 3)`` over a fresh database,
+# as ``[((page, slot), new_row), ...]``, then the rng's next ``random()`` —
+# captured from the pre-``draw_update`` serial runner (parent commit).
+PINNED_DRAWS = {
+    (0, "R1"): (
+        [((13, 19), (487, 267, 162)), ((33, 25), (1213, 757, 145)),
+         ((30, 34), (1114, 1875, 197))],
+        0.6039200385961945,
+    ),
+    (3, "R2"): (
+        [((3, 26), (146, 146, 195, 170)), ((0, 20), (20, 20, 66, 116)),
+         ((3, 4), (124, 124, 9, 154))],
+        0.00045171488507100843,
+    ),
+    (11, "R3"): (
+        [((0, 27), (27, 27, 791890)), ((3, 37), (157, 157, 683715)),
+         ((4, 19), (179, 179, 552716))],
+        0.9403523895661179,
+    ),
+}
+
+
+class TestDrawUpdate:
+    @pytest.mark.parametrize("seed,relation", sorted(PINNED_DRAWS))
+    def test_rng_sequence_is_the_pre_refactor_one(self, seed, relation):
+        db = build_database(PARAMS, seed=seed)
+        rng = random.Random(seed + 3)
+        keys, old_rows, new_rows = draw_update(db, rng, relation, 3)
+        rids = [db.r1_rids[pos] for pos in keys] if relation == "R1" else keys
+        changes = [
+            ((rid.page_no, rid.slot_no), new)
+            for rid, new in zip(rids, new_rows)
+        ]
+        assert (changes, rng.random()) == PINNED_DRAWS[seed, relation]
+        heap = db.relations[relation].heap
+        assert old_rows == [heap.read(rid) for rid in rids]
+
+    def test_pre_reads_are_charged_as_base_update(self):
+        db = build_database(PARAMS, seed=0)
+        before = db.clock.snapshot()
+        draw_update(db, random.Random(3), "R1", 4)
+        assert db.clock.elapsed_since(before) > 0.0
+
+    def test_unknown_relation_rejected(self, db):
+        with pytest.raises(ValueError, match="unknown update target"):
+            draw_update(db, random.Random(0), "R9", 1)
