@@ -51,6 +51,24 @@ fi
 
 run python -m pytest benchmarks -q --benchmark-disable
 
+# CLI --help smoke, mirroring CI: every subcommand is generated from one
+# flag vocabulary; an entry argparse rejects for just one surfaces here.
+help_smoke() {
+    python -c "
+import argparse
+from repro.cli import build_parser
+parser = build_parser()
+verbs = next(a.choices for a in parser._actions
+             if isinstance(a, argparse._SubParsersAction))
+for verb in verbs:
+    try:
+        parser.parse_args([verb, '--help'])
+    except SystemExit as done:
+        assert done.code == 0, verb
+" > /dev/null
+}
+run help_smoke
+
 # Shard-chaos smoke, mirroring the CI artifact step: a scheduled shard
 # kill with a hot standby — the oracle must hold through the failover.
 echo "==> python -m repro chaos --shards 2 --replicas 1 --kill-shard 0 (shard-chaos smoke)"

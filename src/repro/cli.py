@@ -25,11 +25,18 @@ Examples::
     repro-procs bench --compare results/bench_baseline.json
 
 (Also reachable as ``python -m repro``.)
+
+Layout: ``type=`` validators, the flag vocabulary (``_FLAGS``), the one
+run → emit helper, then the ``_cmd_*`` bodies, each registered with the
+flags it takes by ``@_command``; ``build_parser`` is generated from that.
+Exit protocol: 0 success, 1 a run that failed its gate, 2 invalid usage.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
+import json
 import sys
 import time
 
@@ -40,140 +47,604 @@ from repro.experiments.simcompare import (
     sim_model_comparison,
 )
 from repro.model.params import DEFAULT_PARAMS
+from repro.obs.flight import (
+    ensure_parent_dir,
+    write_chrome_trace,
+    write_span_jsonl,
+)
+from repro.obs.profile import STRATEGY_ALIASES, resolve_strategy
 from repro.workload.runner import run_workload
 
+# The five canonical strategy names, in the alias table's order.
+_STRATEGIES = tuple(dict.fromkeys(STRATEGY_ALIASES.values()))
 
+
+def _number(kind, accept, expected: str):
+    """A ``type=`` callable: ``kind(text)`` that must satisfy ``accept``.
+
+    It is named after ``kind`` so a non-number gets argparse's own
+    ``invalid int value: 'x'`` wording.
+    """
+
+    def parse(text: str):
+        value = kind(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {expected}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_positive_int = _number(int, lambda value: value >= 1, ">= 1")
+_positive_float = _number(float, lambda value: value > 0, "positive")
+_non_negative_float = _number(float, lambda value: value >= 0, ">= 0")
+_probability = _number(float, lambda value: 0 <= value < 1, "in [0, 1)")
+
+
+def _int_list(text: str) -> list[int]:
+    """Parse ``"1,4,16"`` into a sorted list of distinct integers >= 1."""
+    try:
+        values = sorted({int(part) for part in text.split(",") if part.strip()})
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expects comma-separated integers, got {text!r}"
+        ) from None
+    if not values or values[0] < 1:
+        raise argparse.ArgumentTypeError("values must be integers >= 1")
+    return values
+
+
+def _strategy(text: str) -> str:
+    """One strategy name or alias, as its canonical name."""
+    try:
+        return resolve_strategy(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"names an {exc}") from None
+
+
+def _strategy_list(text: str) -> list[str]:
+    """Comma-separated strategies or aliases; ``all`` is all five."""
+    if text == "all":
+        return list(_STRATEGIES)
+    strategies = [_strategy(part) for part in text.split(",") if part.strip()]
+    if not strategies:
+        raise argparse.ArgumentTypeError("must name at least one strategy")
+    return strategies
+
+
+# (name, body, flags, own): filled by ``@_command`` in definition order.
+_COMMANDS: list = []
+
+
+def _command(flags: str = "", **own):
+    """Register ``_cmd_<name>`` as subcommand ``<name>``: its docstring is
+    the help line, ``flags`` names the ``_FLAGS`` entries it takes, and
+    ``own`` (keyed by ``dest``) gives its own default/type/help for a
+    flag where that differs from the vocabulary's."""
+
+    def register(body):
+        name = body.__name__.removeprefix("_cmd_")
+        _COMMANDS.append((name, body, flags.split(), own))
+        return body
+
+    return register
+
+
+def _dest(names: str) -> str:
+    """The ``Namespace`` attribute argparse derives for a ``_FLAGS`` key."""
+    return names.split()[-1].lstrip("-").replace("-", "_")
+
+
+# The flag vocabulary: every flag, declared once, keyed by its option
+# string(s). Single-flag range checks live in the ``type=`` callables;
+# rules that span two flags are in ``_check_cross_flags``. Each
+# ``@_command`` says which of these its subcommand takes, and its own
+# default where that differs. ``metavar="PATH"`` marks a file the
+# command writes: its directory is created before anything runs.
+_FLAGS = {
+    "experiment": dict(choices=sorted(REGISTRY)),
+    "--strategy": dict(
+        type=_strategy,
+        default="cache_invalidate",
+        help="strategy name or alias (ar, ci, avm, rvm, hybrid)",
+    ),
+    "--model": dict(type=int, default=1, choices=(1, 2)),
+    "-P --update-probability": dict(
+        type=_probability,
+        default=DEFAULT_PARAMS.update_probability,
+        help="fraction of operations that are update transactions",
+    ),
+    "--operations": dict(
+        type=_positive_int,
+        default=400,
+        help="operations to simulate (in total, across sessions)",
+    ),
+    "--seed": dict(type=int, default=7),
+    "--batch-size": dict(
+        type=_positive_int,
+        help="maintain once per batch of up to N same-relation updates",
+    ),
+    "--shards": dict(
+        type=_positive_int,
+        help="run behind the sharded engine with N key-range shards",
+    ),
+    "--mpl": dict(
+        type=_positive_int,
+        default="1",
+        help="multiprogramming level (sessions sharing the database)",
+    ),
+    "--replicas": dict(
+        type=int,
+        default=0,
+        help="hot standbys per shard (0 or 1; needs --shards >= 2)",
+    ),
+    "--kill-shard": dict(
+        type=int,
+        metavar="I",
+        help="schedule one fail-stop of shard I (needs --shards >= 2)",
+    ),
+    "--fault-events": dict(
+        type=_positive_int,
+        default="100",
+        help="total fault-injection budget for the campaign",
+    ),
+    "--degrade": dict(
+        action="store_true",
+        help="attach the per-shard UC->CI->AR overload ladder",
+    ),
+    "--buffer-capacity": dict(
+        type=int,
+        default=0,
+        help="LRU buffer frames (0 = the paper's no-caching assumption)",
+    ),
+    "--top": dict(type=int, default=5, help="rows to list"),
+    "--json": dict(action="store_true", help="emit the result as JSON"),
+    "--no-checks": dict(action="store_true", help="skip paper-claim checks"),
+    "--chart": dict(
+        action="store_true",
+        help="append an ASCII line chart (curve figures)",
+    ),
+    "-o --output": dict(metavar="PATH", help="file path (default: stdout)"),
+    "--no-simulation": dict(
+        action="store_true",
+        help="skip the (slower) simulator-vs-model section",
+    ),
+    "-f --selectivity": dict(type=float, default=0.001),
+    "--sharing-factor": dict(type=float, default=0.5),
+    "--uncertainty": dict(
+        type=float,
+        default=0.0,
+        help="how far the true P may exceed the estimate (minimax mode)",
+    ),
+    "--attribution": dict(
+        action="store_true",
+        help="append the term-by-term model-vs-simulator comparison",
+    ),
+    "--manifest": dict(
+        action="store_true",
+        help="write a reproducibility manifest to results/runs/",
+    ),
+    "--trace-out": dict(
+        metavar="PATH",
+        help="export the run as Chrome trace-event JSON (Perfetto)",
+    ),
+    "--span-log": dict(metavar="PATH", help="export the span stream as compact JSONL"),
+    "--window-ms": dict(
+        type=_positive_float,
+        default=100.0,
+        help="fixed aggregation window in simulated ms (default 100)",
+    ),
+    "--chaos": dict(
+        action="store_true",
+        help="replay under the fault-injected multi-client chaos harness",
+    ),
+    "--warn-invalidation-rate": dict(
+        type=float,
+        default=0.5,
+        help="invalidations per simulated ms above which a shard WARNs",
+    ),
+    "--critical-invalidation-rate": dict(
+        type=float,
+        default=2.0,
+        help="invalidation rate above which a shard goes CRITICAL",
+    ),
+    "--warn-lock-wait": dict(
+        type=float,
+        default=0.5,
+        help="lock-wait fraction of the window above which a shard WARNs",
+    ),
+    "--critical-lock-wait": dict(
+        type=float,
+        default=0.9,
+        help="lock-wait fraction above which a shard goes CRITICAL",
+    ),
+    "--series-out": dict(
+        metavar="PATH",
+        help="write the windowed series + health transitions as JSONL",
+    ),
+    "--export": dict(
+        metavar="PATH",
+        help="write the run's Prometheus/OpenMetrics exposition text",
+    ),
+    "--requests": dict(
+        type=_positive_int,
+        default=400,
+        help="length of the request plan (reads + update posts)",
+    ),
+    "--capacity": dict(
+        type=_positive_int,
+        default=256,
+        help="front-tier cache entries before LRU eviction",
+    ),
+    "--ttl-ms": dict(
+        type=_positive_float,
+        help="entry TTL in simulated ms (default: no TTL)",
+    ),
+    "--rate": dict(
+        type=_positive_float,
+        metavar="RPS",
+        help="open-loop arrival rate in requests/s (default: one burst)",
+    ),
+    "--zipf-s": dict(
+        type=_non_negative_float,
+        default=1.1,
+        help="Zipf skew of the read popularity ranking (default 1.1)",
+    ),
+    "--audit": dict(
+        action="store_true",
+        help="recompute on every cache hit; a disagreement is a stale read",
+    ),
+    "--stats-out": dict(
+        metavar="PATH",
+        help="write the run summary JSON to PATH (the CI artifact)",
+    ),
+    "--procedures": dict(
+        type=_positive_int,
+        help="population of the P1-only scale point (default: laptop scale)",
+    ),
+    "--p2": dict(
+        type=int,
+        default=0,
+        help="P2 join procedures to add to the scale point (default 0)",
+    ),
+    "--report-out": dict(
+        metavar="PATH",
+        help="also write the JSON sweep to PATH (the CI sizing artifact)",
+    ),
+    "--history": dict(
+        default="BENCH_history.jsonl",
+        metavar="PATH",
+        help="JSONL ledger to append the snapshot to ('' skips)",
+    ),
+    "--latest": dict(
+        default="BENCH_latest.json",
+        metavar="PATH",
+        help="latest-snapshot JSON to overwrite ('' skips)",
+    ),
+    "--compare": dict(
+        metavar="BASELINE",
+        help="baseline snapshot (JSON/JSONL) to gate against (exit 1)",
+    ),
+    "--tolerance": dict(
+        type=_non_negative_float,
+        default=0.10,
+        help="relative regression tolerance for --compare (default 0.10)",
+    ),
+    "--wall-clock": dict(
+        action="store_true",
+        help="run the machine-dependent wall-clock lane (no --compare)",
+    ),
+    "--wall-repeats": dict(
+        type=_positive_int,
+        default=3,
+        metavar="N",
+        help="runs per (strategy, mode) cell; the median is kept (default 3)",
+    ),
+}
+
+_ARTIFACTS = "--manifest --trace-out --span-log"
+_STRATEGY_SWEEP = dict(
+    type=_strategy_list,
+    default="all",
+    help="comma-separated strategies or aliases; default: all five",
+)
+_INT_SWEEP = dict(type=_int_list, help="comma-separated values to sweep")
+
+
+def _check_cross_flags(args: argparse.Namespace) -> None:
+    """The usage rules that span two flags, for whichever subcommand has
+    them (a flag's own range is its ``type=``)."""
+    given = vars(args)
+    kill_shard = given.get("kill_shard")
+    if "chaos" in given and not args.chaos:
+        for name, chaos_only in (
+            ("mpl", args.mpl > 1),
+            ("kill-shard", kill_shard is not None),
+            ("degrade", args.degrade),
+        ):
+            if chaos_only:
+                raise ValueError(f"--{name} requires --chaos")
+    if kill_shard is not None:
+        if args.shards is None or args.shards < 2:
+            raise ValueError("--kill-shard requires --shards >= 2")
+        if not 0 <= kill_shard < args.shards:
+            raise ValueError(f"--kill-shard must be in [0, {args.shards - 1}]")
+    if given.get("chaos") and args.batch_size is not None:
+        raise ValueError("--batch-size applies to plain runs only")
+    if given.get("trace_out") or given.get("span_log"):
+        swept = [
+            label
+            for dest, label in (("strategy", "strategy"), ("mpl", "MPL"))
+            if isinstance(given.get(dest), list) and len(given[dest]) != 1
+        ]
+        if swept:
+            raise ValueError(
+                "--trace-out/--span-log need exactly one "
+                f"{' and one '.join(swept)} (a trace is one run's timeline)"
+            )
+    if given.get("wall_clock") and args.compare:
+        # Wall timings are machine-dependent; there is no meaningful
+        # stored baseline to diff against (the embedded checks gate).
+        raise ValueError("--compare is not supported with --wall-clock")
+
+
+def _write_text(path: str, text: str, what: str | None = None) -> None:
+    """Write one output file, creating its directory if missing, and
+    announce it on stderr as ``what`` (stdout stays machine-parseable)."""
+    with open(ensure_parent_dir(path), "w") as handle:
+        handle.write(text)
+    if what:
+        print(f"wrote {what} to {path}", file=sys.stderr)
+
+
+def _sim_params(args: argparse.Namespace):
+    """The simulator-scale parameter point at this run's ``-P``."""
+    return SIM_SCALE_PARAMS.with_update_probability(args.update_probability)
+
+
+def _driver_kwargs(args: argparse.Namespace) -> dict:
+    """This subcommand's run-shaping flags, under the keyword every
+    ``run_*`` driver (and ``build_stack`` beneath them) takes them by."""
+    dests = "model operations seed batch_size shards replicas degrade buffer_capacity"
+    kwargs = {d: getattr(args, d) for d in dests.split() if hasattr(args, d)}
+    if "operations" in kwargs:
+        kwargs["num_operations"] = kwargs.pop("operations")
+    return kwargs
+
+
+def _wants_artifacts(args: argparse.Namespace) -> bool:
+    """Whether any flight-recorder artifact flag was passed."""
+    return any(getattr(args, _dest(flag), None) for flag in _ARTIFACTS.split())
+
+
+def _write_run_artifacts(
+    args: argparse.Namespace, observation=None, **manifest_fields
+) -> None:
+    """Write the ``--trace-out`` / ``--span-log`` / ``--manifest``
+    artifacts for one completed run.
+
+    Artifact paths are announced on stderr so ``--json`` stdout stays
+    machine-parseable.
+    """
+    strategy = getattr(args, "strategy", None)
+    if isinstance(strategy, list):
+        strategy = ",".join(strategy)
+    if getattr(args, "trace_out", None):
+        write_chrome_trace(
+            args.trace_out, observation, label=f"{args.command} {strategy}"
+        )
+        print(f"wrote Chrome trace to {args.trace_out}", file=sys.stderr)
+    if getattr(args, "span_log", None):
+        rows = write_span_jsonl(args.span_log, observation)
+        print(f"wrote {rows} span records to {args.span_log}", file=sys.stderr)
+    if args.manifest:
+        from repro.obs.manifest import build_run_manifest, write_run_manifest
+
+        arg_values = {key: value for key, value in vars(args).items() if key != "func"}
+        if strategy is not None:
+            manifest_fields.update(
+                strategy=strategy, seed=args.seed, params=_sim_params(args)
+            )
+        manifest = build_run_manifest(args.command, arg_values, **manifest_fields)
+        path = write_run_manifest(manifest)
+        print(f"wrote run manifest to {path}", file=sys.stderr)
+
+
+def _run_and_emit(
+    args: argparse.Namespace,
+    execute,
+    render,
+    payload,
+    outputs=None,
+    artifacts=None,
+    gate=None,
+) -> int:
+    """The one run → emit path every measuring subcommand takes.
+
+    Time ``execute()``; write the command's own files (``outputs``);
+    print ``payload(result)`` as JSON under ``--json``, else
+    ``render(result, wall_seconds)``; when a flight-recorder artifact
+    was asked for, write it from ``artifacts(result)`` (the observation
+    and cost totals) with the payload as the manifest's summary; then
+    ``gate(result)`` gives ``(exit_code, complaint)`` and the complaint,
+    if any, goes to stderr.
+    """
+    start = time.perf_counter()
+    result = execute()
+    wall = time.perf_counter() - start
+    if outputs is not None:
+        outputs(result)
+    if getattr(args, "json", False):
+        print(json.dumps(payload(result), indent=2, sort_keys=True))
+    else:
+        render(result, wall)
+    if _wants_artifacts(args):
+        _write_run_artifacts(
+            args,
+            wall_time_s=wall,
+            result_summary=payload(result),
+            **(artifacts(result) if artifacts is not None else {}),
+        )
+    code, complaint = gate(result) if gate is not None else (0, None)
+    if complaint:
+        print(complaint, file=sys.stderr)
+    return code
+
+
+def _observation_factory(args: argparse.Namespace):
+    """``(factory, observations)`` for a sweep: when artifacts were asked
+    for, ``factory`` builds one attribution per run and records it;
+    otherwise it is ``None`` and the runs go unobserved."""
+    observations: list = []
+    if not _wants_artifacts(args):
+        return None, observations
+    from repro.obs import CostAttribution
+
+    keep = None if (args.trace_out or args.span_log) else 1024
+
+    def factory():
+        observation = CostAttribution(keep_events=keep)
+        observations.append(observation)
+        return observation
+
+    return factory, observations
+
+
+def _sweep_artifacts(results, observations) -> dict:
+    """Fold a sweep's runs into one set of manifest fields: phase costs,
+    counters and latency stats add up over runs; gauges are levels, not
+    flows, so the last run's snapshot wins per name (sizing layout,
+    final degradation rungs)."""
+    from repro.sim.metrics import MetricSet, RunningStat
+
+    phase_costs: collections.Counter = collections.Counter()
+    metrics = MetricSet()
+    for r in results:
+        phase_costs.update(r.phase_costs)
+        for name in r.metrics.names():
+            metrics.stats.setdefault(name, RunningStat()).merge(
+                r.metrics.get(name)
+            )
+    counters: collections.Counter = collections.Counter()
+    gauges: dict[str, float] = {}
+    for observation in observations:
+        counters.update(observation.registry.counter_values())
+        gauges.update(observation.registry.gauge_values())
+    return dict(
+        observation=observations[0] if observations else None,
+        simulated_ms_total=sum(r.clock_total_ms for r in results),
+        phase_costs=phase_costs,
+        counters=counters,
+        gauges=gauges,
+        metrics=metrics,
+    )
+
+
+@_command()
 def _cmd_list(_args: argparse.Namespace) -> int:
+    """list experiment ids"""
     print("available experiments (paper body-text numbering):")
     for figure_id in REGISTRY:
         print(f"  {figure_id}")
     return 0
 
 
+@_command("experiment --no-checks --chart --manifest")
 def _cmd_run(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
-    result = run_experiment(args.experiment)
-    wall = time.perf_counter() - start
-    chart = args.chart and result.kind in ("curves", "sf_curves")
-    print(render_result(result, show_checks=not args.no_checks, chart=chart))
-    if args.manifest:
-        from repro.experiments.export import to_json
+    """regenerate one figure/table"""
+    from repro.experiments.export import to_json
 
-        _write_run_artifacts(
-            args,
-            "run",
-            wall_time_s=wall,
-            result_summary=to_json(result),
-        )
-    if not args.no_checks and not result.all_checks_pass:
-        print(
-            f"\nFAILED checks: {result.failed_checks()}", file=sys.stderr
-        )
-        return 1
-    return 0
+    def render(result, _wall):
+        chart = args.chart and result.kind in ("curves", "sf_curves")
+        print(render_result(result, show_checks=not args.no_checks, chart=chart))
 
+    def gate(result):
+        if args.no_checks or result.all_checks_pass:
+            return 0, None
+        return 1, f"\nFAILED checks: {result.failed_checks()}"
 
-def _cmd_all(args: argparse.Namespace) -> int:
-    status = 0
-    checks_by_experiment: dict[str, bool] = {}
-    start = time.perf_counter()
-    for figure_id in REGISTRY:
-        result = run_experiment(figure_id)
-        print(render_result(result, show_checks=not args.no_checks))
-        print()
-        checks_by_experiment[figure_id] = result.all_checks_pass
-        if not result.all_checks_pass:
-            status = 1
-    if args.manifest:
-        _write_run_artifacts(
-            args,
-            "all",
-            wall_time_s=time.perf_counter() - start,
-            result_summary={
-                "checks_pass_by_experiment": checks_by_experiment
-            },
-        )
-    return status
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import dataclasses
-    import json
-
-    from repro.obs.ledger import (
-        append_history,
-        compare_snapshots,
-        load_snapshot,
-        regressions,
-        render_delta_table,
-        run_bench_suite,
-        run_wallclock_suite,
-        validate_snapshot,
-        write_latest,
+    return _run_and_emit(
+        args, lambda: run_experiment(args.experiment), render, to_json, gate=gate
     )
 
-    if args.operations < 1:
-        print("error: --operations must be >= 1", file=sys.stderr)
-        return 2
-    if args.tolerance < 0:
-        print("error: --tolerance must be >= 0", file=sys.stderr)
-        return 2
-    if args.wall_repeats < 1:
-        print("error: --wall-repeats must be >= 1", file=sys.stderr)
-        return 2
-    if args.wall_clock and args.compare:
-        # Wall timings are machine-dependent; there is no meaningful
-        # stored baseline to diff against (the embedded checks gate).
-        print(
-            "error: --compare is not supported with --wall-clock",
-            file=sys.stderr,
-        )
-        return 2
+
+@_command("--no-checks --manifest")
+def _cmd_all(args: argparse.Namespace) -> int:
+    """regenerate every figure/table"""
+    def execute():
+        return {figure_id: run_experiment(figure_id) for figure_id in REGISTRY}
+
+    def render(results, _wall):
+        for result in results.values():
+            print(render_result(result, show_checks=not args.no_checks))
+            print()
+
+    def payload(results):
+        passes = {key: result.all_checks_pass for key, result in results.items()}
+        return {"checks_pass_by_experiment": passes}
+
+    def gate(results):
+        return int(not all(r.all_checks_pass for r in results.values())), None
+
+    return _run_and_emit(args, execute, render, payload, gate=gate)
+
+
+@_command(
+    "--operations --seed --history --latest --compare --tolerance --json "
+    "--wall-clock --wall-repeats",
+    operations=dict(default=120),
+)
+def _cmd_bench(args: argparse.Namespace) -> int:
+    """run the pinned perf suite, update the benchmark ledger, and
+    optionally gate against a baseline"""
+    import dataclasses
+
+    from repro.obs import ledger
+
     baseline = None
     if args.compare:
         try:
-            baseline = load_snapshot(args.compare)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(
-                f"error: cannot load baseline {args.compare!r}: {exc}",
-                file=sys.stderr,
+            baseline = ledger.load_snapshot(args.compare)
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"cannot load baseline {args.compare!r}: {exc}") from None
+
+    def execute():
+        suite = dict(operations=args.operations, seed=args.seed)
+        if args.wall_clock:
+            snapshot = ledger.run_wallclock_suite(repeats=args.wall_repeats, **suite)
+        else:
+            snapshot = ledger.run_bench_suite(**suite)
+        problems = ledger.validate_snapshot(snapshot)
+        if problems:  # pragma: no cover - guards suite bugs, not user input
+            raise RuntimeError(f"snapshot failed validation: {problems}")
+        deltas = None
+        if baseline is not None:
+            deltas = ledger.compare_snapshots(
+                baseline, snapshot, tolerance=args.tolerance
             )
-            return 2
-    start = time.perf_counter()
-    if args.wall_clock:
-        snapshot = run_wallclock_suite(
-            operations=args.operations,
-            seed=args.seed,
-            repeats=args.wall_repeats,
-        )
-    else:
-        snapshot = run_bench_suite(operations=args.operations, seed=args.seed)
-    wall = time.perf_counter() - start
-    problems = validate_snapshot(snapshot)
-    if problems:  # pragma: no cover - guards suite bugs, not user input
-        print(f"error: snapshot failed validation: {problems}",
-              file=sys.stderr)
-        return 1
-    if args.history:
-        append_history(args.history, snapshot)
-    if args.latest:
-        write_latest(args.latest, snapshot)
-    deltas = None
-    if baseline is not None:
-        deltas = compare_snapshots(
-            baseline, snapshot, tolerance=args.tolerance
-        )
-    if args.json:
-        payload = dict(snapshot)
-        if deltas is not None:
-            payload["comparison"] = {
-                "baseline_path": args.compare,
-                "tolerance": args.tolerance,
-                "deltas": [dataclasses.asdict(d) for d in deltas],
-                "regressions": [d.key for d in regressions(deltas)],
-            }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
+        return snapshot, deltas
+
+    def outputs(result):
+        if args.history:
+            ledger.append_history(args.history, result[0])
+        if args.latest:
+            ledger.write_latest(args.latest, result[0])
+
+    def payload(result):
+        snapshot, deltas = result
+        if deltas is None:
+            return snapshot
+        comparison = {
+            "baseline_path": args.compare,
+            "tolerance": args.tolerance,
+            "deltas": [dataclasses.asdict(d) for d in deltas],
+            "regressions": [d.key for d in ledger.regressions(deltas)],
+        }
+        return {**snapshot, "comparison": comparison}
+
+    def render(result, wall):
+        snapshot, deltas = result
         print(
             f"bench suite v{snapshot['suite_version']}: "
             f"{len(snapshot['metrics'])} metrics, "
@@ -190,35 +661,29 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(f"wrote latest snapshot to {args.latest}")
         if deltas is not None:
             print()
-            print(render_delta_table(deltas, tolerance=args.tolerance))
-    status = 0
-    failed_checks = sorted(
-        key for key, ok in snapshot["checks"].items() if not ok
-    )
-    if failed_checks:
-        print(f"FAILED checks: {failed_checks}", file=sys.stderr)
-        status = 1
-    if deltas is not None and regressions(deltas):
-        print(
-            f"PERF REGRESSION vs {args.compare}: "
-            f"{[d.key for d in regressions(deltas)]}",
-            file=sys.stderr,
-        )
-        status = 1
-    return status
+            print(ledger.render_delta_table(deltas, tolerance=args.tolerance))
+
+    def gate(result):
+        snapshot, deltas = result
+        complaints = []
+        failed_checks = sorted(key for key, ok in snapshot["checks"].items() if not ok)
+        if failed_checks:
+            complaints.append(f"FAILED checks: {failed_checks}")
+        if deltas is not None and ledger.regressions(deltas):
+            regressed = [d.key for d in ledger.regressions(deltas)]
+            complaints.append(f"PERF REGRESSION vs {args.compare}: {regressed}")
+        return int(bool(complaints)), "\n".join(complaints)
+
+    return _run_and_emit(args, execute, render, payload, outputs, gate=gate)
 
 
+@_command(
+    "--strategy --model -P --operations --seed --batch-size --shards",
+    strategy=dict(type=None, choices=_STRATEGIES, help=None),
+)
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    params = SIM_SCALE_PARAMS.with_update_probability(args.update_probability)
-    run = run_workload(
-        params,
-        args.strategy,
-        model=args.model,
-        num_operations=args.operations,
-        seed=args.seed,
-        batch_size=args.batch_size,
-        shards=args.shards,
-    )
+    """run one strategy in the executable simulator"""
+    run = run_workload(_sim_params(args), args.strategy, **_driver_kwargs(args))
     batch_note = f" batch={run.batch_size}" if run.batch_size else ""
     shard_note = f" shards={run.shards}" if run.shards else ""
     print(
@@ -248,135 +713,33 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_mpl_list(text: str) -> list[int]:
-    """Parse ``"1,4,16"`` into a sorted list of distinct MPLs (>= 1)."""
-    try:
-        mpls = sorted({int(part) for part in text.split(",") if part.strip()})
-    except ValueError:
-        raise ValueError(f"--mpl expects comma-separated integers, got {text!r}")
-    if not mpls or any(mpl < 1 for mpl in mpls):
-        raise ValueError("--mpl values must be integers >= 1")
-    return mpls
-
-
-def _wants_artifacts(args: argparse.Namespace) -> bool:
-    """Whether any flight-recorder artifact flag was passed."""
-    return bool(
-        getattr(args, "trace_out", None)
-        or getattr(args, "span_log", None)
-        or getattr(args, "manifest", False)
-    )
-
-
-def _merged_metrics(metric_sets):
-    """One :class:`MetricSet` folding per-run stats together (manifest
-    histograms aggregate over every run a sweep executed)."""
-    from repro.sim.metrics import MetricSet, RunningStat
-
-    merged = MetricSet()
-    for metrics in metric_sets:
-        for name in metrics.names():
-            merged.stats.setdefault(name, RunningStat()).merge(
-                metrics.get(name)
-            )
-    return merged
-
-
-def _write_run_artifacts(
-    args: argparse.Namespace,
-    command: str,
-    observation=None,
-    trace_label: str = "run",
-    **manifest_fields,
-) -> None:
-    """Write the ``--trace-out`` / ``--span-log`` / ``--manifest``
-    artifacts for one completed run.
-
-    Artifact paths are announced on stderr so ``--json`` stdout stays
-    machine-parseable.
-    """
-    trace_out = getattr(args, "trace_out", None)
-    span_log = getattr(args, "span_log", None)
-    if trace_out:
-        from repro.obs.flight import write_chrome_trace
-
-        write_chrome_trace(trace_out, observation, label=trace_label)
-        print(f"wrote Chrome trace to {trace_out}", file=sys.stderr)
-    if span_log:
-        from repro.obs.flight import write_span_jsonl
-
-        rows = write_span_jsonl(span_log, observation)
-        print(f"wrote {rows} span records to {span_log}", file=sys.stderr)
-    if getattr(args, "manifest", False):
-        from repro.obs.manifest import build_run_manifest, write_run_manifest
-
-        arg_values = {
-            key: value for key, value in vars(args).items() if key != "func"
-        }
-        manifest = build_run_manifest(command, arg_values, **manifest_fields)
-        path = write_run_manifest(manifest)
-        print(f"wrote run manifest to {path}", file=sys.stderr)
-
-
+@_command(
+    "--mpl --strategy --model -P --operations --seed --buffer-capacity "
+    "--batch-size --shards --json " + _ARTIFACTS,
+    mpl=dict(_INT_SWEEP, default="1,4,16"),
+    strategy=_STRATEGY_SWEEP,
+    operations=dict(default=300),
+)
 def _cmd_concurrent(args: argparse.Namespace) -> int:
-    import json
-
+    """multi-client discrete-event simulation (2PL, MPL sweep)"""
     from repro.concurrent import (
-        CONCURRENT_STRATEGIES,
         concurrent_sweep,
         render_concurrent_table,
         sweep_to_dict,
     )
-    from repro.obs.profile import resolve_strategy
 
-    mpls = _parse_mpl_list(args.mpl)
-    if args.strategy in (None, "all"):
-        strategies: list[str] = list(CONCURRENT_STRATEGIES)
-    else:
-        strategies = [
-            resolve_strategy(part)
-            for part in args.strategy.split(",")
-            if part.strip()
-        ]
-        if not strategies:
-            raise ValueError("--strategy must name at least one strategy")
-    if (args.trace_out or args.span_log) and (
-        len(strategies) != 1 or len(mpls) != 1
-    ):
-        raise ValueError(
-            "--trace-out/--span-log need exactly one strategy and one "
-            "MPL (a trace is one run's timeline)"
+    observation_factory, observations = _observation_factory(args)
+
+    def execute():
+        return concurrent_sweep(
+            _sim_params(args),
+            strategies=args.strategy,
+            mpls=args.mpl,
+            observation_factory=observation_factory,
+            **_driver_kwargs(args),
         )
-    params = SIM_SCALE_PARAMS.with_update_probability(args.update_probability)
-    observations: list = []
-    observation_factory = None
-    if _wants_artifacts(args):
-        from repro.obs import CostAttribution
 
-        keep = None if (args.trace_out or args.span_log) else 1024
-
-        def observation_factory():
-            observation = CostAttribution(keep_events=keep)
-            observations.append(observation)
-            return observation
-
-    start = time.perf_counter()
-    results = concurrent_sweep(
-        params,
-        strategies=strategies,
-        mpls=mpls,
-        model=args.model,
-        num_operations=args.operations,
-        seed=args.seed,
-        buffer_capacity=args.buffer_capacity,
-        observation_factory=observation_factory,
-        batch_size=args.batch_size,
-        shards=args.shards,
-    )
-    wall = time.perf_counter() - start
-    if args.json:
-        print(json.dumps(sweep_to_dict(results), indent=2, sort_keys=True))
-    else:
+    def render(results, _wall):
         print(
             f"concurrent sweep: model={args.model} "
             f"P={args.update_probability:g} ops={args.operations} "
@@ -387,142 +750,56 @@ def _cmd_concurrent(args: argparse.Namespace) -> int:
             "\nlatencies in simulated ms; 'blocked' is total lock-wait time; "
             "MPL=1 matches the serial runner exactly."
         )
-    if _wants_artifacts(args):
-        phase_costs: dict[str, float] = {}
-        for r in results:
-            for phase, ms in r.phase_costs.items():
-                phase_costs[phase] = phase_costs.get(phase, 0.0) + ms
-        counters: dict[str, float] = {}
-        for observation in observations:
-            for name, value in observation.registry.counter_values().items():
-                counters[name] = counters.get(name, 0.0) + value
-        _write_run_artifacts(
-            args,
-            "concurrent",
-            observation=observations[0] if observations else None,
-            trace_label=f"concurrent {','.join(strategies)}",
-            params=params,
-            seed=args.seed,
-            strategy=",".join(strategies),
-            wall_time_s=wall,
-            simulated_ms_total=sum(r.clock_total_ms for r in results),
-            phase_costs=phase_costs,
-            counters=counters,
-            gauges={
-                name: value
-                for observation in observations
-                for name, value in (
-                    observation.registry.gauge_values().items()
-                )
-            },
-            metrics=_merged_metrics([r.metrics for r in results]),
-            result_summary=sweep_to_dict(results),
-        )
-    return 0
+
+    return _run_and_emit(
+        args,
+        execute,
+        render,
+        sweep_to_dict,
+        artifacts=lambda results: _sweep_artifacts(results, observations),
+    )
 
 
+@_command(
+    "--strategy --mpl --model -P --operations --seed --fault-events "
+    "--shards --replicas --kill-shard --degrade --json " + _ARTIFACTS,
+    strategy=_STRATEGY_SWEEP,
+    operations=dict(default=120),
+)
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    import json
+    """seeded fault-injection campaign with crash-recovery oracle"""
+    import dataclasses
 
     from repro.faults.chaos import (
-        CHAOS_STRATEGIES,
         chaos_sweep,
         chaos_to_dict,
         render_chaos_table,
     )
-    from repro.faults.injector import FaultPlan
-    from repro.obs.profile import resolve_strategy
+    from repro.faults.injector import FaultKind, FaultPlan, ScheduledFault
 
-    if args.operations < 1:
-        raise ValueError("--operations must be >= 1")
-    try:
-        mpl = int(args.mpl)
-    except ValueError:
-        raise ValueError(f"--mpl expects one integer, got {args.mpl!r}")
-    if mpl < 1:
-        raise ValueError("--mpl must be >= 1")
-    try:
-        fault_events = int(args.fault_events)
-    except ValueError:
-        raise ValueError(
-            f"--fault-events expects an integer, got {args.fault_events!r}"
-        )
-    if fault_events < 1:
-        raise ValueError("--fault-events must be >= 1")
-    if args.strategy in (None, "all"):
-        strategies: list[str] = list(CHAOS_STRATEGIES)
-    else:
-        strategies = [
-            resolve_strategy(part)
-            for part in args.strategy.split(",")
-            if part.strip()
-        ]
-        if not strategies:
-            raise ValueError("--strategy must name at least one strategy")
-    if (args.trace_out or args.span_log) and len(strategies) != 1:
-        raise ValueError(
-            "--trace-out/--span-log need exactly one strategy "
-            "(a trace is one run's timeline)"
-        )
+    plan = FaultPlan.seeded(args.seed, max_faults=args.fault_events)
     if args.kill_shard is not None:
-        if args.shards is None or args.shards < 2:
-            raise ValueError("--kill-shard requires --shards >= 2")
-        if not 0 <= args.kill_shard < args.shards:
-            raise ValueError(
-                f"--kill-shard must be in [0, {args.shards - 1}]"
-            )
-    params = SIM_SCALE_PARAMS.with_update_probability(args.update_probability)
-    plan = FaultPlan.seeded(args.seed, max_faults=fault_events)
-    if args.kill_shard is not None:
-        import dataclasses
-
-        from repro.faults.injector import FaultKind, ScheduledFault
-
         # One scheduled fail-stop of the chosen shard, on top of the
         # seeded background campaign: its first shard.crash boundary
         # decision fires, the rest of the population keeps serving.
+        point = f"shard.{args.kill_shard}.shard.crash"
         plan = dataclasses.replace(
             plan,
-            schedule=[
-                *plan.schedule,
-                ScheduledFault(
-                    f"shard.{args.kill_shard}.shard.crash",
-                    1,
-                    FaultKind.CRASH,
-                ),
-            ],
+            schedule=[*plan.schedule, ScheduledFault(point, 1, FaultKind.CRASH)],
         )
-    observations: list = []
-    observation_factory = None
-    if _wants_artifacts(args):
-        from repro.obs import CostAttribution
+    observation_factory, observations = _observation_factory(args)
 
-        keep = None if (args.trace_out or args.span_log) else 1024
+    def execute():
+        return chaos_sweep(
+            _sim_params(args),
+            strategies=args.strategy,
+            plan=plan,
+            mpl=args.mpl,
+            observation_factory=observation_factory,
+            **_driver_kwargs(args),
+        )
 
-        def observation_factory():
-            observation = CostAttribution(keep_events=keep)
-            observations.append(observation)
-            return observation
-
-    start = time.perf_counter()
-    results = chaos_sweep(
-        params,
-        strategies=strategies,
-        plan=plan,
-        mpl=mpl,
-        model=args.model,
-        num_operations=args.operations,
-        seed=args.seed,
-        observation_factory=observation_factory,
-        shards=args.shards,
-        replicas=args.replicas,
-        degrade=args.degrade,
-    )
-    wall = time.perf_counter() - start
-    ok = all(r.oracle_ok and r.attribution_consistent for r in results)
-    if args.json:
-        print(json.dumps(chaos_to_dict(results), indent=2, sort_keys=True))
-    else:
+    def render(results, _wall):
         shard_note = ""
         if args.shards is not None:
             shard_note = f" shards={args.shards} replicas={args.replicas}"
@@ -531,9 +808,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             if args.degrade:
                 shard_note += " degrade"
         print(
-            f"chaos campaign: model={args.model} mpl={mpl} "
+            f"chaos campaign: model={args.model} mpl={args.mpl} "
             f"P={args.update_probability:g} ops={args.operations} "
-            f"seed={args.seed} fault budget={fault_events}{shard_note}"
+            f"seed={args.seed} fault budget={args.fault_events}{shard_note}"
         )
         print(render_chaos_table(results))
         print(
@@ -541,240 +818,155 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             "phase; 'oracle' verifies every procedure's post-recovery answer "
             "against a fresh recompute."
         )
-    if _wants_artifacts(args):
-        phase_costs: dict[str, float] = {}
-        for r in results:
-            for phase, ms in r.phase_costs.items():
-                phase_costs[phase] = phase_costs.get(phase, 0.0) + ms
-        counters: dict[str, float] = {}
-        for observation in observations:
-            for name, value in observation.registry.counter_values().items():
-                counters[name] = counters.get(name, 0.0) + value
-        # Gauges are levels, not flows: the last run's snapshot wins per
-        # name (sizing layout and final degradation rungs — satellite
-        # state the manifest should capture).
-        gauges: dict[str, float] = {}
-        for observation in observations:
-            gauges.update(observation.registry.gauge_values())
-        _write_run_artifacts(
-            args,
-            "chaos",
-            observation=observations[0] if observations else None,
-            trace_label=f"chaos {','.join(strategies)} mpl={mpl}",
-            params=params,
-            seed=args.seed,
-            strategy=",".join(strategies),
-            wall_time_s=wall,
-            simulated_ms_total=sum(r.clock_total_ms for r in results),
-            phase_costs=phase_costs,
-            counters=counters,
-            gauges=gauges,
-            metrics=_merged_metrics([r.metrics for r in results]),
-            result_summary=chaos_to_dict(results),
-        )
-    if not ok:
+
+    def gate(results):
         bad = [
             r.strategy
             for r in results
             if not (r.oracle_ok and r.attribution_consistent)
         ]
-        print(f"FAILED consistency: {bad}", file=sys.stderr)
-        return 1
-    return 0
+        return (1, f"FAILED consistency: {bad}") if bad else (0, None)
+
+    return _run_and_emit(
+        args,
+        execute,
+        render,
+        chaos_to_dict,
+        artifacts=lambda results: _sweep_artifacts(results, observations),
+        gate=gate,
+    )
 
 
+@_command(
+    "--strategy --model -P --operations --seed --shards --replicas "
+    "--batch-size --window-ms --chaos --mpl --fault-events --kill-shard "
+    "--degrade --warn-invalidation-rate --critical-invalidation-rate "
+    "--warn-lock-wait --critical-lock-wait --series-out --export --json "
+    + _ARTIFACTS,
+    operations=dict(default=200),
+    fault_events=dict(default="25"),
+)
 def _cmd_monitor(args: argparse.Namespace) -> int:
-    import json
-
+    """replay a workload behind the telemetry bus: per-window shard
+    health table, series log, OpenMetrics (exit 2 if a shard ends CRITICAL)"""
     from repro.obs.monitor import (
         monitor_to_dict,
         render_monitor_table,
         run_monitor,
     )
-    from repro.obs.profile import resolve_strategy
     from repro.obs.telemetry import (
         HealthThresholds,
         to_openmetrics,
         write_series_jsonl,
     )
 
-    strategy = resolve_strategy(args.strategy)
-    if args.operations < 1:
-        raise ValueError("--operations must be >= 1")
-    if args.window_ms <= 0:
-        raise ValueError("--window-ms must be positive")
-    try:
-        mpl = int(args.mpl)
-    except ValueError:
-        raise ValueError(f"--mpl expects one integer, got {args.mpl!r}")
-    if mpl < 1:
-        raise ValueError("--mpl must be >= 1")
-    try:
-        fault_events = int(args.fault_events)
-    except ValueError:
-        raise ValueError(
-            f"--fault-events expects an integer, got {args.fault_events!r}"
-        )
-    if fault_events < 1:
-        raise ValueError("--fault-events must be >= 1")
-    for chaos_only, name in (
-        (mpl > 1, "--mpl"),
-        (args.kill_shard is not None, "--kill-shard"),
-        (args.degrade, "--degrade"),
-    ):
-        if chaos_only and not args.chaos:
-            raise ValueError(f"{name} requires --chaos")
-    if args.kill_shard is not None:
-        if args.shards is None or args.shards < 2:
-            raise ValueError("--kill-shard requires --shards >= 2")
-        if not 0 <= args.kill_shard < args.shards:
-            raise ValueError(
-                f"--kill-shard must be in [0, {args.shards - 1}]"
-            )
-    if args.chaos and args.batch_size is not None:
-        raise ValueError("--batch-size applies to plain runs only")
     thresholds = HealthThresholds(
         warn_invalidation_rate=args.warn_invalidation_rate,
         critical_invalidation_rate=args.critical_invalidation_rate,
         warn_lock_wait=args.warn_lock_wait,
         critical_lock_wait=args.critical_lock_wait,
     )
-    params = SIM_SCALE_PARAMS.with_update_probability(args.update_probability)
-    start = time.perf_counter()
-    report = run_monitor(
-        strategy,
-        params,
-        model=args.model,
-        num_operations=args.operations,
-        seed=args.seed,
-        shards=args.shards,
-        replicas=args.replicas,
-        batch_size=args.batch_size,
-        window_ms=args.window_ms,
-        chaos=args.chaos,
-        mpl=mpl,
-        fault_events=fault_events,
-        kill_shard=args.kill_shard,
-        degrade=args.degrade,
-        thresholds=thresholds,
-    )
-    wall = time.perf_counter() - start
-    if args.series_out:
-        rows = write_series_jsonl(args.series_out, report.bus, report.health)
-        print(
-            f"wrote {rows} series records to {args.series_out}",
-            file=sys.stderr,
-        )
-    if args.export:
-        from repro.obs.flight import ensure_parent_dir
 
-        with open(ensure_parent_dir(args.export), "w") as handle:
-            handle.write(to_openmetrics(report.bus, report.health))
-        print(f"wrote OpenMetrics export to {args.export}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(monitor_to_dict(report), indent=2, sort_keys=True))
-    else:
+    def execute():
+        return run_monitor(
+            args.strategy,
+            _sim_params(args),
+            window_ms=args.window_ms,
+            chaos=args.chaos,
+            mpl=args.mpl,
+            fault_events=args.fault_events,
+            kill_shard=args.kill_shard,
+            thresholds=thresholds,
+            **_driver_kwargs(args),
+        )
+
+    def outputs(report):
+        if args.series_out:
+            rows = write_series_jsonl(args.series_out, report.bus, report.health)
+            print(f"wrote {rows} series records to {args.series_out}", file=sys.stderr)
+        if args.export:
+            text = to_openmetrics(report.bus, report.health)
+            _write_text(args.export, text, "OpenMetrics export")
+
+    def render(report, _wall):
         mode_note = "chaos" if args.chaos else "plain"
         print(
-            f"monitor: strategy={strategy} mode={mode_note} "
+            f"monitor: strategy={args.strategy} mode={mode_note} "
             f"model={args.model} P={args.update_probability:g} "
             f"ops={args.operations} seed={args.seed} "
             f"shards={args.shards or 1} window={args.window_ms:g}ms"
         )
         print(render_monitor_table(report))
-    if _wants_artifacts(args):
+
+    def artifacts(report):
         observation = report.observation
-        _write_run_artifacts(
-            args,
-            "monitor",
+        return dict(
             observation=observation,
-            trace_label=f"monitor {strategy}",
-            params=params,
-            seed=args.seed,
-            strategy=strategy,
-            wall_time_s=wall,
             simulated_ms_total=report.clock_total_ms,
             phase_costs=observation.phase_costs(),
             counters=observation.registry.counter_values(),
             gauges=observation.registry.gauge_values(),
-            result_summary=monitor_to_dict(report),
         )
-    if not report.reconciliation_ok:
-        print(
-            "FAILED: windowed series do not reconcile with the cost pie",
-            file=sys.stderr,
-        )
-        return 1
-    if report.health.any_critical:
-        critical = [
-            f"shard{shard}"
-            for shard, state in sorted(report.health.final_states().items())
-            if state == 2
-        ]
-        print(
-            f"CRITICAL at end of run: {', '.join(critical)}",
-            file=sys.stderr,
-        )
-        return 2
-    return 0
+
+    def gate(report):
+        if not report.reconciliation_ok:
+            return 1, "FAILED: windowed series do not reconcile with the cost pie"
+        if report.health.any_critical:
+            critical = [
+                f"shard{shard}"
+                for shard, state in sorted(report.health.final_states().items())
+                if state == 2
+            ]
+            return 2, f"CRITICAL at end of run: {', '.join(critical)}"
+        return 0, None
+
+    return _run_and_emit(
+        args, execute, render, monitor_to_dict, outputs, artifacts, gate
+    )
 
 
+@_command(
+    "--strategy --model --requests --seed -P --shards --capacity --ttl-ms "
+    "--mpl --rate --zipf-s --audit --stats-out --json",
+    update_probability=dict(default=0.1),
+    mpl=dict(default=None, help="admission MPL; beyond it requests get 429"),
+)
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import json
-    import os
-
-    from repro.obs.profile import resolve_strategy
+    """drive open-loop request load at the front-tier serving stack:
+    result cache + admission control over one engine"""
     from repro.serve import run_serve_load
 
-    strategy = resolve_strategy(args.strategy)
-    if args.requests < 1:
-        raise ValueError("--requests must be >= 1")
-    if args.capacity < 1:
-        raise ValueError("--capacity must be >= 1")
-    if args.ttl_ms is not None and args.ttl_ms <= 0:
-        raise ValueError("--ttl-ms must be positive")
-    if args.mpl is not None and args.mpl < 1:
-        raise ValueError("--mpl must be >= 1")
-    if args.rate is not None and args.rate <= 0:
-        raise ValueError("--rate must be positive")
-    if args.zipf_s < 0:
-        raise ValueError("--zipf-s must be >= 0")
-    if not 0 <= args.update_probability < 1:
-        raise ValueError("-P/--update-probability must be in [0, 1)")
-    params = SIM_SCALE_PARAMS.with_update_probability(args.update_probability)
-    result = run_serve_load(
-        params,
-        strategy,
-        model=args.model,
-        num_requests=args.requests,
-        seed=args.seed,
-        shards=args.shards,
-        capacity=args.capacity,
-        ttl_ms=args.ttl_ms,
-        max_inflight=args.mpl,
-        rate_rps=args.rate,
-        zipf_s=args.zipf_s,
-        update_probability=args.update_probability,
-        audit=args.audit,
-    )
-    payload = result.to_dict()
-    if args.stats_out:
-        parent = os.path.dirname(os.path.abspath(args.stats_out))
-        os.makedirs(parent, exist_ok=True)
-        with open(args.stats_out, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote serve stats to {args.stats_out}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
+    def execute():
+        return run_serve_load(
+            _sim_params(args),
+            args.strategy,
+            num_requests=args.requests,
+            capacity=args.capacity,
+            ttl_ms=args.ttl_ms,
+            max_inflight=args.mpl,
+            rate_rps=args.rate,
+            zipf_s=args.zipf_s,
+            update_probability=args.update_probability,
+            audit=args.audit,
+            **_driver_kwargs(args),
+        )
+
+    def payload(result):
+        return result.to_dict()
+
+    def outputs(result):
+        if args.stats_out:
+            text = json.dumps(payload(result), indent=2, sort_keys=True)
+            _write_text(args.stats_out, text + "\n", "serve stats")
+
+    def render(result, _wall):
         cache = result.cache
         statuses = " ".join(
             f"{code}:{count}"
             for code, count in sorted(result.status_counts.items())
         )
         print(
-            f"serve: strategy={strategy} requests={result.requests} "
+            f"serve: strategy={args.strategy} requests={result.requests} "
             f"seed={result.seed} shards={args.shards or 1} "
             f"mpl={args.mpl or 'off'} "
             f"rate={args.rate or 'burst'}"
@@ -798,22 +990,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"p99={result.latency_p99_ms:.2f}ms"
         )
         print(f"  simulated     {result.clock_total_ms:.1f} ms charged")
-    if result.cache["stale_reads"]:
-        print(
-            f"FAILED: {result.cache['stale_reads']:.0f} stale reads served",
-            file=sys.stderr,
-        )
-        return 1
-    if result.failed_503:
-        print(
-            f"FAILED: {result.failed_503} requests hit engine faults (503)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+
+    def gate(result):
+        if result.cache["stale_reads"]:
+            return 1, f"FAILED: {result.cache['stale_reads']:.0f} stale reads served"
+        if result.failed_503:
+            return 1, f"FAILED: {result.failed_503} requests hit engine faults (503)"
+        return 0, None
+
+    return _run_and_emit(args, execute, render, payload, outputs, gate=gate)
 
 
+@_command("-o --no-simulation --operations", operations=dict(default=300))
 def _cmd_report(args: argparse.Namespace) -> int:
+    """regenerate everything into one markdown report"""
     from repro.experiments.summary import build_report
 
     report = build_report(
@@ -821,15 +1011,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
         sim_operations=args.operations,
     )
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(report)
+        _write_text(args.output, report)
         print(f"wrote reproduction report to {args.output}")
     else:
         print(report, end="")
     return 0 if "FAILED" not in report else 1
 
 
+@_command("experiment -o")
 def _cmd_export(args: argparse.Namespace) -> int:
+    """export one experiment's data as CSV"""
     from repro.experiments.export import to_csv, write_csv
 
     result = run_experiment(args.experiment)
@@ -841,7 +1032,9 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
+@_command("-P -f --sharing-factor --model --uncertainty")
 def _cmd_advise(args: argparse.Namespace) -> int:
+    """recommend a strategy for a workload profile"""
     from repro.model.advisor import recommend
 
     params = DEFAULT_PARAMS.replace(
@@ -865,7 +1058,9 @@ def _cmd_advise(args: argparse.Namespace) -> int:
     return 0
 
 
+@_command("-P --model --top", top=dict(default=15))
 def _cmd_sensitivity(args: argparse.Namespace) -> int:
+    """tornado analysis of the cost model"""
     from repro.model.sensitivity import analyze, render_tornado
 
     params = DEFAULT_PARAMS.with_update_probability(args.update_probability)
@@ -878,45 +1073,30 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
     return 0
 
 
+@_command(
+    "--strategy --model -P --operations --seed --buffer-capacity "
+    "--batch-size --shards --top --json --attribution " + _ARTIFACTS
+)
 def _cmd_profile(args: argparse.Namespace) -> int:
-    import json
-
+    """run one strategy with cost attribution (per-phase profile)"""
     from repro.experiments.simcompare import (
         ATTRIBUTION_GROUPS,
         attribution_comparison,
         render_attribution,
     )
-    from repro.obs.profile import (
-        profile_workload,
-        render_profile,
-        resolve_strategy,
-    )
+    from repro.obs.profile import profile_workload, render_profile
 
-    strategy = resolve_strategy(args.strategy)
-    if args.operations < 1:
-        raise ValueError("--operations must be >= 1")
-    params = SIM_SCALE_PARAMS.with_update_probability(args.update_probability)
-    observation = None
-    if _wants_artifacts(args):
-        from repro.obs import FlightRecorder
+    strategy = args.strategy
+    params = _sim_params(args)
 
-        observation = FlightRecorder().observation
-    start = time.perf_counter()
-    report = profile_workload(
-        params,
-        strategy,
-        model=args.model,
-        num_operations=args.operations,
-        seed=args.seed,
-        buffer_capacity=args.buffer_capacity,
-        observation=observation,
-        batch_size=args.batch_size,
-        shards=args.shards,
-    )
-    wall = time.perf_counter() - start
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
+    def execute():
+        # A trace export needs every span; a profile only the recent ones.
+        keep = None if (args.trace_out or args.span_log) else 1024
+        return profile_workload(
+            params, strategy, keep_events=keep, **_driver_kwargs(args)
+        )
+
+    def render(report, _wall):
         print(render_profile(report, top_procedures=args.top))
         if args.attribution and strategy in ATTRIBUTION_GROUPS:
             points = attribution_comparison(
@@ -928,89 +1108,89 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             )
             print()
             print(render_attribution(strategy, points))
-    if _wants_artifacts(args):
-        _write_run_artifacts(
-            args,
-            "profile",
+
+    def artifacts(report):
+        return dict(
             observation=report.observation,
-            trace_label=f"profile {strategy}",
-            params=params,
-            seed=args.seed,
-            strategy=strategy,
-            wall_time_s=wall,
             simulated_ms_total=report.total_ms,
             phase_costs=report.phase_costs,
             counters=report.observation.registry.counter_values(),
             metrics=report.run.metrics,
-            result_summary=report.to_dict(),
         )
-    if not report.is_consistent():
-        print(
+
+    def gate(report):
+        if report.is_consistent():
+            return 0, None
+        return 1, (
             f"attribution mismatch: phases sum to "
             f"{sum(report.phase_costs.values())!r}, clock charged "
-            f"{report.total_ms!r}",
-            file=sys.stderr,
+            f"{report.total_ms!r}"
         )
-        return 1
-    return 0
+
+    return _run_and_emit(
+        args,
+        execute,
+        render,
+        lambda report: report.to_dict(),
+        artifacts=artifacts,
+        gate=gate,
+    )
 
 
+@_command(
+    "--strategy --shards --procedures --p2 --model -P --operations --seed "
+    "--batch-size --json --report-out",
+    strategy=dict(default="update_cache_rvm"),
+    shards=dict(_INT_SWEEP, default="1,8"),
+    operations=dict(default=60),
+)
 def _cmd_shard(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.obs.profile import resolve_strategy
+    """sharded-engine sizing sweep: bytes per relation/shard/procedure,
+    Rete sharing, router fan-out"""
     from repro.shard import measure_sizing, render_sizing, scale_params
 
-    strategy = resolve_strategy(args.strategy)
-    shard_counts = sorted(
-        {int(part) for part in args.shards.split(",") if part.strip()}
-    )
-    if not shard_counts:
-        raise ValueError("--shards must name at least one shard count")
-    if args.procedures is not None and args.procedures < 1:
-        raise ValueError("--procedures must be >= 1")
+    strategy = args.strategy
     if args.procedures is not None:
         params = scale_params(args.procedures, num_p2=args.p2)
     else:
-        params = SIM_SCALE_PARAMS.with_update_probability(
-            args.update_probability
-        )
-    start = time.perf_counter()
-    reports = []
-    for num_shards in shard_counts:
-        run = run_workload(
-            params,
-            strategy,
-            model=args.model,
-            num_operations=args.operations,
-            seed=args.seed,
-            warm_caches=False,
-            batch_size=args.batch_size,
-            keep_manager=True,
-            shards=num_shards,
-        )
-        sizing = measure_sizing(
-            run.database, run.manager.strategy, seed=args.seed
-        )
-        payload = sizing.to_dict()
-        payload["maint_ms_per_update"] = run.maintenance_cost_ms / max(
-            1, run.num_updates
-        )
-        payload["cost_per_access_ms"] = run.cost_per_access_ms
-        payload["operations"] = args.operations
-        payload["seed"] = args.seed
-        reports.append((sizing, payload))
-    wall = time.perf_counter() - start
-    sweep = {
-        "kind": "shard_sizing_sweep",
-        "strategy": strategy,
-        "model": args.model,
-        "shard_counts": shard_counts,
-        "reports": [payload for _sizing, payload in reports],
-    }
-    if args.json:
-        print(json.dumps(sweep, indent=2, sort_keys=True))
-    else:
+        params = _sim_params(args)
+
+    def execute():
+        reports = []
+        for num_shards in args.shards:
+            run = run_workload(
+                params,
+                strategy,
+                warm_caches=False,
+                keep_manager=True,
+                **{**_driver_kwargs(args), "shards": num_shards},
+            )
+            sizing = measure_sizing(run.database, run.manager.strategy, seed=args.seed)
+            payload = sizing.to_dict()
+            payload["maint_ms_per_update"] = run.maintenance_cost_ms / max(
+                1, run.num_updates
+            )
+            payload["cost_per_access_ms"] = run.cost_per_access_ms
+            payload["operations"] = args.operations
+            payload["seed"] = args.seed
+            reports.append((sizing, payload))
+        return reports
+
+    def sweep(reports):
+        return {
+            "kind": "shard_sizing_sweep",
+            "strategy": strategy,
+            "model": args.model,
+            "shard_counts": args.shards,
+            "reports": [payload for _sizing, payload in reports],
+        }
+
+    def outputs(reports):
+        if args.report_out:
+            text = json.dumps(sweep(reports), indent=2, sort_keys=True)
+            _write_text(args.report_out, text, "sizing report")
+
+    def render(reports, wall):
         print(
             f"shard sizing sweep: strategy={strategy} model={args.model} "
             f"procedures={params.num_p1 + params.num_p2} "
@@ -1023,18 +1203,15 @@ def _cmd_shard(args: argparse.Namespace) -> int:
                 f"maintenance per update "
                 f"{payload['maint_ms_per_update']:>13.2f} ms"
             )
-    if args.report_out:
-        with open(args.report_out, "w") as handle:
-            json.dump(sweep, handle, indent=2, sort_keys=True)
-        print(f"wrote sizing report to {args.report_out}", file=sys.stderr)
-    return 0
+
+    return _run_and_emit(args, execute, render, sweep, outputs)
 
 
+@_command("--model -P --operations --seed")
 def _cmd_compare(args: argparse.Namespace) -> int:
-    params = SIM_SCALE_PARAMS.with_update_probability(args.update_probability)
-    points = sim_model_comparison(
-        params, model=args.model, num_operations=args.operations, seed=args.seed
-    )
+    """simulator vs analytical model, all strategies"""
+    params = _sim_params(args)
+    points = sim_model_comparison(params, **_driver_kwargs(args))
     print(
         f"simulator vs analytical model "
         f"(model {args.model}, P={args.update_probability:g}, "
@@ -1044,34 +1221,16 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_artifact_flags(
-    parser: argparse.ArgumentParser, trace: bool = True
-) -> None:
-    """Attach the flight-recorder artifact flags to one subcommand."""
-    parser.add_argument(
-        "--manifest",
-        action="store_true",
-        help=(
-            "write a reproducibility manifest (seed, params, git sha, "
-            "cost pie, counters, histograms) to results/runs/"
-        ),
-    )
-    if trace:
-        parser.add_argument(
-            "--trace-out",
-            default=None,
-            metavar="PATH",
-            help=(
-                "export the run as Chrome trace-event JSON "
-                "(load in chrome://tracing or Perfetto)"
-            ),
-        )
-        parser.add_argument(
-            "--span-log",
-            default=None,
-            metavar="PATH",
-            help="export the span stream as compact JSONL",
-        )
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: a rejected value raises ``ValueError`` so
+    ``main()`` reports it like every other usage error (``error:`` line,
+    exit 2) instead of argparse's usage dump + ``SystemExit``."""
+
+    def error(self, message: str):
+        if message.startswith("argument "):
+            # "argument --flag: reason" -> "--flag reason"
+            message = message[len("argument ") :].replace(": ", " ", 1)
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1083,690 +1242,33 @@ def build_parser() -> argparse.ArgumentParser:
             "Procedures: A Performance Analysis' (SIGMOD 1988)."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("list", help="list experiment ids").set_defaults(
-        func=_cmd_list
-    )
-
-    run_parser = sub.add_parser("run", help="regenerate one figure/table")
-    run_parser.add_argument("experiment", choices=sorted(REGISTRY))
-    run_parser.add_argument(
-        "--no-checks", action="store_true", help="skip paper-claim checks"
-    )
-    run_parser.add_argument(
-        "--chart",
-        action="store_true",
-        help="append an ASCII line chart (curve figures)",
-    )
-    _add_artifact_flags(run_parser, trace=False)
-    run_parser.set_defaults(func=_cmd_run)
-
-    all_parser = sub.add_parser("all", help="regenerate every figure/table")
-    all_parser.add_argument("--no-checks", action="store_true")
-    _add_artifact_flags(all_parser, trace=False)
-    all_parser.set_defaults(func=_cmd_all)
-
-    sim_parser = sub.add_parser(
-        "simulate", help="run one strategy in the executable simulator"
-    )
-    sim_parser.add_argument(
-        "--strategy",
-        default="cache_invalidate",
-        choices=[
-            "always_recompute",
-            "cache_invalidate",
-            "update_cache_avm",
-            "update_cache_rvm",
-            "hybrid",
-        ],
-    )
-    sim_parser.add_argument("--model", type=int, default=1, choices=(1, 2))
-    sim_parser.add_argument(
-        "-P",
-        "--update-probability",
-        type=float,
-        default=DEFAULT_PARAMS.update_probability,
-    )
-    sim_parser.add_argument("--operations", type=int, default=400)
-    sim_parser.add_argument("--seed", type=int, default=7)
-    sim_parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help=(
-            "group up to N consecutive same-relation update transactions "
-            "into one maintenance batch (default: per-transaction)"
-        ),
-    )
-    sim_parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help=(
-            "run behind the sharded engine with N key-range shards "
-            "(default: unsharded)"
-        ),
-    )
-    sim_parser.set_defaults(func=_cmd_simulate)
-
-    report_parser = sub.add_parser(
-        "report", help="regenerate everything into one markdown report"
-    )
-    report_parser.add_argument("-o", "--output", default=None)
-    report_parser.add_argument(
-        "--no-simulation",
-        action="store_true",
-        help="skip the (slower) simulator-vs-model section",
-    )
-    report_parser.add_argument("--operations", type=int, default=300)
-    report_parser.set_defaults(func=_cmd_report)
-
-    export_parser = sub.add_parser(
-        "export", help="export one experiment's data as CSV"
-    )
-    export_parser.add_argument("experiment", choices=sorted(REGISTRY))
-    export_parser.add_argument(
-        "-o", "--output", default=None, help="file path (default: stdout)"
-    )
-    export_parser.set_defaults(func=_cmd_export)
-
-    advise_parser = sub.add_parser(
-        "advise", help="recommend a strategy for a workload profile"
-    )
-    advise_parser.add_argument(
-        "-P", "--update-probability", type=float, default=0.5
-    )
-    advise_parser.add_argument(
-        "-f", "--selectivity", type=float, default=0.001
-    )
-    advise_parser.add_argument("--sharing-factor", type=float, default=0.5)
-    advise_parser.add_argument("--model", type=int, default=1, choices=(1, 2))
-    advise_parser.add_argument(
-        "--uncertainty",
-        type=float,
-        default=0.0,
-        help="how far the true P may exceed the estimate (minimax mode)",
-    )
-    advise_parser.set_defaults(func=_cmd_advise)
-
-    sens_parser = sub.add_parser(
-        "sensitivity", help="tornado analysis of the cost model"
-    )
-    sens_parser.add_argument(
-        "-P", "--update-probability", type=float, default=0.5
-    )
-    sens_parser.add_argument("--model", type=int, default=1, choices=(1, 2))
-    sens_parser.add_argument("--top", type=int, default=15)
-    sens_parser.set_defaults(func=_cmd_sensitivity)
-
-    prof_parser = sub.add_parser(
-        "profile",
-        help="run one strategy with cost attribution (per-phase profile)",
-    )
-    prof_parser.add_argument(
-        "--strategy",
-        default="cache_invalidate",
-        help="strategy name or alias (ar, ci, avm, rvm, or the full names)",
-    )
-    prof_parser.add_argument("--model", type=int, default=1, choices=(1, 2))
-    prof_parser.add_argument(
-        "-P",
-        "--update-probability",
-        type=float,
-        default=DEFAULT_PARAMS.update_probability,
-    )
-    prof_parser.add_argument("--operations", type=int, default=400)
-    prof_parser.add_argument("--seed", type=int, default=7)
-    prof_parser.add_argument(
-        "--buffer-capacity",
-        type=int,
-        default=0,
-        help="LRU buffer frames (0 = the paper's no-caching assumption)",
-    )
-    prof_parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help=(
-            "group up to N consecutive same-relation update transactions "
-            "into one maintenance batch (default: per-transaction)"
-        ),
-    )
-    prof_parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help=(
-            "run behind the sharded engine with N key-range shards "
-            "(default: unsharded)"
-        ),
-    )
-    prof_parser.add_argument(
-        "--top", type=int, default=5, help="procedures to list by cost"
-    )
-    prof_parser.add_argument(
-        "--json", action="store_true", help="emit the report as JSON"
-    )
-    prof_parser.add_argument(
-        "--attribution",
-        action="store_true",
-        help="append the term-by-term model-vs-simulator comparison",
-    )
-    _add_artifact_flags(prof_parser)
-    prof_parser.set_defaults(func=_cmd_profile)
-
-    cmp_parser = sub.add_parser(
-        "compare", help="simulator vs analytical model, all strategies"
-    )
-    cmp_parser.add_argument("--model", type=int, default=1, choices=(1, 2))
-    cmp_parser.add_argument(
-        "-P",
-        "--update-probability",
-        type=float,
-        default=DEFAULT_PARAMS.update_probability,
-    )
-    cmp_parser.add_argument("--operations", type=int, default=400)
-    cmp_parser.add_argument("--seed", type=int, default=7)
-    cmp_parser.set_defaults(func=_cmd_compare)
-
-    conc_parser = sub.add_parser(
-        "concurrent",
-        help="multi-client discrete-event simulation (2PL, MPL sweep)",
-    )
-    conc_parser.add_argument(
-        "--mpl",
-        default="1,4,16",
-        help="comma-separated multiprogramming levels (e.g. 1,4,16)",
-    )
-    conc_parser.add_argument(
-        "--strategy",
-        default="all",
-        help=(
-            "comma-separated strategies or aliases (ar, ci, avm, rvm, "
-            "hybrid); default: all five"
-        ),
-    )
-    conc_parser.add_argument("--model", type=int, default=1, choices=(1, 2))
-    conc_parser.add_argument(
-        "-P",
-        "--update-probability",
-        type=float,
-        default=DEFAULT_PARAMS.update_probability,
-    )
-    conc_parser.add_argument(
-        "--operations",
-        type=int,
-        default=300,
-        help="total operations, split across sessions",
-    )
-    conc_parser.add_argument("--seed", type=int, default=7)
-    conc_parser.add_argument(
-        "--buffer-capacity",
-        type=int,
-        default=0,
-        help="LRU buffer frames (0 = the paper's no-caching assumption)",
-    )
-    conc_parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help=(
-            "group up to N consecutive same-relation update transactions "
-            "into one maintenance batch per session (default: "
-            "per-transaction)"
-        ),
-    )
-    conc_parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help=(
-            "run every strategy behind the sharded engine with N "
-            "key-range shards (default: unsharded)"
-        ),
-    )
-    conc_parser.add_argument(
-        "--json", action="store_true", help="emit the sweep as JSON"
-    )
-    _add_artifact_flags(conc_parser)
-    conc_parser.set_defaults(func=_cmd_concurrent)
-
-    chaos_parser = sub.add_parser(
-        "chaos",
-        help=(
-            "seeded fault-injection campaign with crash-recovery oracle "
-            "(all strategies)"
-        ),
-    )
-    chaos_parser.add_argument(
-        "--strategy",
-        default="all",
-        help=(
-            "comma-separated strategies or aliases (ar, ci, avm, rvm, "
-            "hybrid); default: all five"
-        ),
-    )
-    chaos_parser.add_argument(
-        "--mpl",
-        default="1",
-        help="one multiprogramming level (sessions sharing the database)",
-    )
-    chaos_parser.add_argument("--model", type=int, default=1, choices=(1, 2))
-    chaos_parser.add_argument(
-        "-P",
-        "--update-probability",
-        type=float,
-        default=DEFAULT_PARAMS.update_probability,
-    )
-    chaos_parser.add_argument(
-        "--operations",
-        type=int,
-        default=120,
-        help="total operations, split across sessions",
-    )
-    chaos_parser.add_argument("--seed", type=int, default=7)
-    chaos_parser.add_argument(
-        "--fault-events",
-        default="100",
-        help="total fault-injection budget for the campaign",
-    )
-    chaos_parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help=(
-            "run behind the sharded engine with N key-range shards, each "
-            "its own fault domain (1 is bit-identical to unsharded; "
-            "default: unsharded)"
-        ),
-    )
-    chaos_parser.add_argument(
-        "--replicas",
-        type=int,
-        default=0,
-        help=(
-            "hot standbys per shard (0 or 1): a crashed shard fails over "
-            "to its replica instead of rebuilding from WAL (needs "
-            "--shards >= 2)"
-        ),
-    )
-    chaos_parser.add_argument(
-        "--kill-shard",
-        type=int,
-        default=None,
-        metavar="I",
-        help=(
-            "schedule one fail-stop of shard I mid-workload on top of the "
-            "seeded campaign (needs --shards >= 2)"
-        ),
-    )
-    chaos_parser.add_argument(
-        "--degrade",
-        action="store_true",
-        help=(
-            "attach the per-shard overload controller (UC->CI->AR ladder "
-            "per shard; needs --shards >= 2)"
-        ),
-    )
-    chaos_parser.add_argument(
-        "--json", action="store_true", help="emit the campaign as JSON"
-    )
-    _add_artifact_flags(chaos_parser)
-    chaos_parser.set_defaults(func=_cmd_chaos)
-
-    monitor_parser = sub.add_parser(
-        "monitor",
-        help=(
-            "replay a workload with the streaming telemetry bus: "
-            "per-window per-shard health table, JSONL series log, "
-            "OpenMetrics export (exit 2 if any shard ends CRITICAL)"
-        ),
-    )
-    monitor_parser.add_argument(
-        "--strategy",
-        default="cache_invalidate",
-        help="one strategy or alias (ar, ci, avm, rvm, hybrid)",
-    )
-    monitor_parser.add_argument(
-        "--model", type=int, default=1, choices=(1, 2)
-    )
-    monitor_parser.add_argument(
-        "-P",
-        "--update-probability",
-        type=float,
-        default=DEFAULT_PARAMS.update_probability,
-    )
-    monitor_parser.add_argument("--operations", type=int, default=200)
-    monitor_parser.add_argument("--seed", type=int, default=7)
-    monitor_parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help=(
-            "run behind the sharded engine with N key-range shards "
-            "(per-shard health; default: unsharded = one shard 0)"
-        ),
-    )
-    monitor_parser.add_argument(
-        "--replicas",
-        type=int,
-        default=0,
-        help="hot standbys per shard (0 or 1; needs --shards >= 2)",
-    )
-    monitor_parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help="batched update propagation (plain runs only)",
-    )
-    monitor_parser.add_argument(
-        "--window-ms",
-        type=float,
-        default=100.0,
-        help="fixed aggregation window in simulated ms (default 100)",
-    )
-    monitor_parser.add_argument(
-        "--chaos",
-        action="store_true",
-        help=(
-            "replay under the fault-injected multi-client chaos harness "
-            "instead of the plain runner"
-        ),
-    )
-    monitor_parser.add_argument(
-        "--mpl",
-        default="1",
-        help="multiprogramming level for --chaos runs",
-    )
-    monitor_parser.add_argument(
-        "--fault-events",
-        default="25",
-        help="fault budget for --chaos runs",
-    )
-    monitor_parser.add_argument(
-        "--kill-shard",
-        type=int,
-        default=None,
-        metavar="I",
-        help=(
-            "schedule one fail-stop of shard I (needs --chaos and "
-            "--shards >= 2)"
-        ),
-    )
-    monitor_parser.add_argument(
-        "--degrade",
-        action="store_true",
-        help=(
-            "attach the per-shard overload ladder (needs --chaos and "
-            "--shards >= 2)"
-        ),
-    )
-    monitor_parser.add_argument(
-        "--warn-invalidation-rate",
-        type=float,
-        default=0.5,
-        help="invalidations per simulated ms above which a shard WARNs",
-    )
-    monitor_parser.add_argument(
-        "--critical-invalidation-rate",
-        type=float,
-        default=2.0,
-        help="invalidation rate above which a shard goes CRITICAL",
-    )
-    monitor_parser.add_argument(
-        "--warn-lock-wait",
-        type=float,
-        default=0.5,
-        help="lock-wait fraction of the window above which a shard WARNs",
-    )
-    monitor_parser.add_argument(
-        "--critical-lock-wait",
-        type=float,
-        default=0.9,
-        help="lock-wait fraction above which a shard goes CRITICAL",
-    )
-    monitor_parser.add_argument(
-        "--series-out",
-        default=None,
-        metavar="PATH",
-        help="write the windowed series + health transitions as JSONL",
-    )
-    monitor_parser.add_argument(
-        "--export",
-        default=None,
-        metavar="PATH",
-        help="write the run's Prometheus/OpenMetrics exposition text",
-    )
-    monitor_parser.add_argument(
-        "--json", action="store_true", help="emit the report as JSON"
-    )
-    _add_artifact_flags(monitor_parser)
-    monitor_parser.set_defaults(func=_cmd_monitor)
-
-    serve_parser = sub.add_parser(
-        "serve",
-        help=(
-            "drive open-loop request load at the front-tier serving "
-            "stack: result cache + admission control over one engine"
-        ),
-    )
-    serve_parser.add_argument(
-        "--strategy",
-        default="cache_invalidate",
-        help="strategy name or alias (ar, ci, avm, rvm, or the full names)",
-    )
-    serve_parser.add_argument("--model", type=int, default=1, choices=(1, 2))
-    serve_parser.add_argument(
-        "--requests",
-        type=int,
-        default=400,
-        help="length of the request plan (reads + update posts)",
-    )
-    serve_parser.add_argument("--seed", type=int, default=7)
-    serve_parser.add_argument(
-        "-P",
-        "--update-probability",
-        type=float,
-        default=0.1,
-        help="fraction of requests that are update transactions",
-    )
-    serve_parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="serve from the sharded engine with this many shards",
-    )
-    serve_parser.add_argument(
-        "--capacity",
-        type=int,
-        default=256,
-        help="front-tier cache entries before LRU eviction",
-    )
-    serve_parser.add_argument(
-        "--ttl-ms",
-        type=float,
-        default=None,
-        help="entry TTL in simulated ms (default: no TTL)",
-    )
-    serve_parser.add_argument(
-        "--mpl",
-        type=int,
-        default=None,
-        help=(
-            "admission-control multiprogramming level; requests beyond "
-            "it get 429 (default: no gate)"
-        ),
-    )
-    serve_parser.add_argument(
-        "--rate",
-        type=float,
-        default=None,
-        metavar="RPS",
-        help="open-loop arrival rate in requests/s (default: one burst)",
-    )
-    serve_parser.add_argument(
-        "--zipf-s",
-        type=float,
-        default=1.1,
-        help="Zipf skew of the read popularity ranking (default 1.1)",
-    )
-    serve_parser.add_argument(
-        "--audit",
-        action="store_true",
-        help=(
-            "recompute on every cache hit and count disagreements as "
-            "stale reads (exit 1 on any)"
-        ),
-    )
-    serve_parser.add_argument(
-        "--stats-out",
-        default=None,
-        metavar="PATH",
-        help="write the run summary JSON to PATH (the CI artifact)",
-    )
-    serve_parser.add_argument(
-        "--json", action="store_true", help="emit the summary as JSON"
-    )
-    serve_parser.set_defaults(func=_cmd_serve)
-
-    shard_parser = sub.add_parser(
-        "shard",
-        help=(
-            "sharded-engine sizing sweep: bytes per relation/shard/"
-            "procedure, Rete sharing, router fan-out"
-        ),
-    )
-    shard_parser.add_argument(
-        "--strategy",
-        default="update_cache_rvm",
-        help="strategy name or alias (ar, ci, avm, rvm, or the full names)",
-    )
-    shard_parser.add_argument(
-        "--shards",
-        default="1,8",
-        help="comma-separated shard counts to sweep (e.g. 1,2,8)",
-    )
-    shard_parser.add_argument(
-        "--procedures",
-        type=int,
-        default=None,
-        help=(
-            "population size for the scale parameter point (P1-only, "
-            "small tuple universe); default: the laptop-scale point"
-        ),
-    )
-    shard_parser.add_argument(
-        "--p2",
-        type=int,
-        default=0,
-        help="P2 join procedures to add to the scale point (default 0)",
-    )
-    shard_parser.add_argument("--model", type=int, default=1, choices=(1, 2))
-    shard_parser.add_argument(
-        "-P",
-        "--update-probability",
-        type=float,
-        default=DEFAULT_PARAMS.update_probability,
-    )
-    shard_parser.add_argument("--operations", type=int, default=60)
-    shard_parser.add_argument("--seed", type=int, default=7)
-    shard_parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help=(
-            "group up to N consecutive same-relation update transactions "
-            "into one maintenance batch (default: per-transaction)"
-        ),
-    )
-    shard_parser.add_argument(
-        "--json", action="store_true", help="emit the sweep as JSON"
-    )
-    shard_parser.add_argument(
-        "--report-out",
-        default=None,
-        metavar="PATH",
-        help="also write the JSON sweep to PATH (the CI sizing artifact)",
-    )
-    shard_parser.set_defaults(func=_cmd_shard)
-
-    bench_parser = sub.add_parser(
-        "bench",
-        help=(
-            "run the pinned perf suite, update the benchmark ledger, and "
-            "optionally gate against a baseline"
-        ),
-    )
-    bench_parser.add_argument(
-        "--operations",
-        type=int,
-        default=120,
-        help="operation budget for the simulated scenarios",
-    )
-    bench_parser.add_argument("--seed", type=int, default=7)
-    bench_parser.add_argument(
-        "--history",
-        default="BENCH_history.jsonl",
-        help="JSONL ledger to append the snapshot to ('' skips)",
-    )
-    bench_parser.add_argument(
-        "--latest",
-        default="BENCH_latest.json",
-        help="latest-snapshot JSON to overwrite ('' skips)",
-    )
-    bench_parser.add_argument(
-        "--compare",
-        default=None,
-        metavar="BASELINE",
-        help=(
-            "baseline snapshot (JSON or JSONL history) to diff against; "
-            "exits 1 when any metric regresses past the tolerance"
-        ),
-    )
-    bench_parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.10,
-        help="relative regression tolerance for --compare (default 0.10)",
-    )
-    bench_parser.add_argument(
-        "--json", action="store_true", help="emit the snapshot as JSON"
-    )
-    bench_parser.add_argument(
-        "--wall-clock",
-        action="store_true",
-        help=(
-            "run the wall-clock lane instead of the simulated suite: real "
-            "maintenance/access times of the fig05 scenario at l=100, "
-            "columnar vs dict (machine-dependent; embedded checks gate, "
-            "--compare is rejected)"
-        ),
-    )
-    bench_parser.add_argument(
-        "--wall-repeats",
-        type=int,
-        default=3,
-        metavar="N",
-        help="runs per (strategy, mode) cell; the median is kept (default 3)",
-    )
-    bench_parser.set_defaults(func=_cmd_bench)
-
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_SubcommandParser
+    )
+    vocabulary = {name: key for key in _FLAGS for name in key.split()}
+    for name, body, flags, own in _COMMANDS:
+        command = sub.add_parser(name, help=" ".join(body.__doc__.split()))
+        for flag in flags:
+            key = vocabulary[flag]
+            kwargs = {**_FLAGS[key], **own.get(_dest(key), {})}
+            command.add_argument(*key.split(), **kwargs)
+        command.set_defaults(func=body)
     parser.epilog = "subcommands: " + ", ".join(sorted(sub.choices))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        _check_cross_flags(args)
+        # Every requested output's directory exists (or fails) before
+        # anything is simulated or printed.
+        for key, kwargs in _FLAGS.items():
+            path = getattr(args, _dest(key), None)
+            if kwargs.get("metavar") == "PATH" and path:
+                ensure_parent_dir(path)
         return args.func(args)
-    except ValueError as exc:
-        # Invalid usage, whether a command's own argument check raised it
-        # or a driver did (``build_stack``'s shard/replica rules, a batch
-        # size or MPL below 1) — one protocol for both.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # Output piped into a pager/head that closed early — not an error.
         try:
@@ -1774,6 +1276,15 @@ def main(argv: list[str] | None = None) -> int:
         except OSError:
             pass
         return 0
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        # Invalid usage, whether a flag's validator, a cross-flag rule or
+        # a driver raised it (``build_stack``'s shard/replica rules) —
+        # one protocol for all.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -619,6 +619,8 @@ def validate_snapshot(snapshot: dict) -> list[str]:
     """Structural validation of a bench snapshot; returns problems
     (empty = valid). The repo-consistency test runs this against the
     committed baseline so the schema cannot silently drift."""
+    if not isinstance(snapshot, dict):
+        return [f"not a JSON object but a {type(snapshot).__name__}"]
     problems: list[str] = []
     for key in ("schema_version", "kind", "suite_version", "metrics",
                 "checks", "operations", "seed"):
@@ -634,8 +636,9 @@ def validate_snapshot(snapshot: dict) -> list[str]:
         if not isinstance(entry, dict):
             problems.append(f"metric {key!r}: not an object")
             continue
-        if not isinstance(entry.get("value"), (int, float)):
-            problems.append(f"metric {key!r}: value is not a number")
+        value = entry.get("value")
+        if not isinstance(value, (int, float)) or not math.isfinite(value):
+            problems.append(f"metric {key!r}: value is not a finite number")
         if entry.get("direction") not in ("lower", "higher"):
             problems.append(
                 f"metric {key!r}: direction must be 'lower' or 'higher'"
@@ -664,17 +667,24 @@ def write_latest(path: str, snapshot: dict) -> None:
 
 def load_snapshot(path: str) -> dict:
     """Read one snapshot from JSON (also accepts the last JSONL line of
-    a history file, so a baseline can point at either artifact)."""
+    a history file, so a baseline can point at either artifact). Raises
+    ``ValueError`` when the content is not a valid snapshot."""
     with open(path) as handle:
         text = handle.read().strip()
+    snapshot = None
     if "\n" in text and not text.lstrip().startswith("{\n"):
         # JSONL history: take the most recent entry.
         lines = [line for line in text.splitlines() if line.strip()]
         try:
-            return json.loads(lines[-1])
+            snapshot = json.loads(lines[-1])
         except json.JSONDecodeError:
             pass
-    return json.loads(text)
+    if snapshot is None:
+        snapshot = json.loads(text)
+    problems = validate_snapshot(snapshot)
+    if problems:
+        raise ValueError(f"not a bench snapshot: {'; '.join(problems)}")
+    return snapshot
 
 
 @dataclass(frozen=True)

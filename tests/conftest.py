@@ -11,6 +11,17 @@ from repro.sim import CostClock, CostParams
 from repro.storage import BufferPool, Catalog, DiskManager, Field, Schema
 
 
+@pytest.fixture(scope="session")
+def bench_snapshot() -> dict:
+    """The session's one shared execution of the pinned bench suite
+    (deterministic, and it simulates real work). Treat it as read-only;
+    ``tests/test_ledger.py`` deliberately runs the suite a second time
+    to prove the determinism that sharing relies on."""
+    from repro.obs.ledger import run_bench_suite
+
+    return run_bench_suite(operations=60, seed=7)
+
+
 @pytest.fixture
 def clock() -> CostClock:
     return CostClock(CostParams(c1=1.0, c2=30.0, c3=1.0))

@@ -178,3 +178,33 @@ class TestOneAssembly:
             "workload/runner.py": 1,   # perform_update
             "concurrent/engine.py": 1,  # _Engine._prepare_update
         }
+
+
+class TestOneFlagVocabulary:
+    """``repro.cli`` declares each flag once (``_FLAGS``), builds every
+    subparser from that in one ``add_argument`` loop, and times every
+    run in the one run → emit helper — the per-command copies they
+    replaced must not grow back."""
+
+    CLI = (ROOT / "src" / "repro" / "cli.py").read_text()
+
+    def test_each_shared_flag_is_declared_once(self):
+        for flag in (
+            "--strategy", "--model", "--update-probability", "--operations",
+            "--seed", "--batch-size", "--shards", "--mpl", "--replicas",
+            "--kill-shard", "--fault-events", "--degrade",
+            "--buffer-capacity", "--json", "--manifest", "--trace-out",
+            "--span-log",
+        ):
+            # As a whole string literal, optionally behind a short alias
+            # (``"-P --update-probability"``): the vocabulary key. The
+            # ``@_command`` lists name flags inside longer strings.
+            declared = re.findall(rf'"(?:-\w )?{flag}"', self.CLI)
+            assert len(declared) == 1, (flag, declared)
+        assert self.CLI.count("add_argument(") == 1
+
+    def test_one_timed_run_path(self):
+        assert self.CLI.count("time.perf_counter()") <= 2
+        # _run_and_emit is the helper's one caller of the artifact writer.
+        assert len(re.findall(r"(?<!def )_write_run_artifacts\(", self.CLI)) == 1
+        assert 'print("error:' not in self.CLI and "int(args." not in self.CLI

@@ -7,36 +7,19 @@ import pytest
 from repro.experiments.summary import build_report
 
 
-@pytest.fixture(scope="module")
-def bench_latest(tmp_path_factory):
-    """The module's one real ``bench --operations 40`` execution, kept
-    as the ``--latest`` file it wrote."""
-    from repro.cli import main
-
-    root = tmp_path_factory.mktemp("bench")
-    latest = root / "BENCH_latest.json"
-    history = root / "BENCH_history.jsonl"
-    code = main(
-        ["bench", "--operations", "40",
-         "--latest", str(latest), "--history", str(history)]
-    )
-    assert code == 0
-    assert len(history.read_text().splitlines()) == 1
-    return latest
-
-
 @pytest.fixture
-def replayed_suite(bench_latest, monkeypatch):
-    """Further ``bench`` invocations replay that execution instead of
-    re-simulating (the suite is deterministic — ``tests/test_ledger.py``
-    runs it twice to prove it)."""
+def replayed_suite(bench_snapshot, monkeypatch):
+    """``bench`` invocations replay the session's one suite execution
+    instead of re-simulating (the suite is deterministic —
+    ``tests/test_ledger.py`` runs it twice to prove it)."""
     from repro.obs import ledger
 
-    snapshot = ledger.load_snapshot(str(bench_latest))
-
     def replay(operations, seed):
-        assert (operations, seed) == (snapshot["operations"], snapshot["seed"])
-        return copy.deepcopy(snapshot)
+        assert (operations, seed) == (
+            bench_snapshot["operations"],
+            bench_snapshot["seed"],
+        )
+        return copy.deepcopy(bench_snapshot)
 
     monkeypatch.setattr(ledger, "run_bench_suite", replay)
 
@@ -252,7 +235,7 @@ class TestBenchCli:
         from repro.obs.flight import SCHEMA_VERSION
 
         monkeypatch.chdir(tmp_path)
-        code = main(["bench", "--operations", "40", "--json"])
+        code = main(["bench", "--operations", "60", "--json"])
         out = capsys.readouterr().out
         assert code == 0
         payload = json.loads(out)
@@ -264,7 +247,7 @@ class TestBenchCli:
 
         # Self-comparison against the just-written snapshot is clean.
         code = main(
-            ["bench", "--operations", "40",
+            ["bench", "--operations", "60",
              "--compare", "BENCH_latest.json", "--json"]
         )
         payload = json.loads(capsys.readouterr().out)
@@ -281,7 +264,7 @@ class TestBenchCli:
         from repro.cli import main
 
         monkeypatch.chdir(tmp_path)
-        assert main(["bench", "--operations", "40"]) == 0
+        assert main(["bench", "--operations", "60"]) == 0
         capsys.readouterr()
         baseline = json.loads((tmp_path / "BENCH_latest.json").read_text())
         # Pretend the baseline was far cheaper: the fresh run regresses.
@@ -289,7 +272,7 @@ class TestBenchCli:
         baseline["metrics"][key]["value"] /= 10.0
         (tmp_path / "doctored.json").write_text(json.dumps(baseline))
         code = main(
-            ["bench", "--operations", "40", "--compare", "doctored.json"]
+            ["bench", "--operations", "60", "--compare", "doctored.json"]
         )
         captured = capsys.readouterr()
         assert code == 1
