@@ -35,6 +35,10 @@ run python -m pytest tests/test_shard_differential.py -q
 run python -m pytest tests/test_shard_chaos.py -q
 run python -m pytest tests/test_serve_differential.py -q
 
+# Observability overhead gate, mirroring CI: calls/sample and
+# objects/window of the telemetry receive side, counted, not timed.
+run python -m pytest tests/test_obs_overhead.py -q
+
 # Coverage flags mirror CI when pytest-cov is importable (offline boxes
 # without it still run the plain suite).
 cov_flags=()

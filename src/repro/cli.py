@@ -768,25 +768,16 @@ def _cmd_concurrent(args: argparse.Namespace) -> int:
 )
 def _cmd_chaos(args: argparse.Namespace) -> int:
     """seeded fault-injection campaign with crash-recovery oracle"""
-    import dataclasses
-
     from repro.faults.chaos import (
         chaos_sweep,
         chaos_to_dict,
         render_chaos_table,
     )
-    from repro.faults.injector import FaultKind, FaultPlan, ScheduledFault
+    from repro.faults.injector import FaultPlan
 
     plan = FaultPlan.seeded(args.seed, max_faults=args.fault_events)
     if args.kill_shard is not None:
-        # One scheduled fail-stop of the chosen shard, on top of the
-        # seeded background campaign: its first shard.crash boundary
-        # decision fires, the rest of the population keeps serving.
-        point = f"shard.{args.kill_shard}.shard.crash"
-        plan = dataclasses.replace(
-            plan,
-            schedule=[*plan.schedule, ScheduledFault(point, 1, FaultKind.CRASH)],
-        )
+        plan = plan.with_shard_kill(args.kill_shard)
     observation_factory, observations = _observation_factory(args)
 
     def execute():

@@ -49,7 +49,7 @@ from __future__ import annotations
 import enum
 import random
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterator
 
 from repro.faults.errors import (
@@ -141,6 +141,15 @@ class FaultPlan:
                 for point, kinds in rates.items()
             }
         return FaultPlan(seed=seed, rates=rates, max_faults=max_faults)
+
+    def with_shard_kill(self, shard_id: int) -> "FaultPlan":
+        """This campaign plus one scheduled fail-stop of shard
+        ``shard_id``: its first ``shard.crash`` boundary decision fires,
+        the rest of the population keeps serving."""
+        kill = ScheduledFault(
+            f"shard.{shard_id}.shard.crash", 1, FaultKind.CRASH
+        )
+        return replace(self, schedule=(*self.schedule, kill))
 
     def for_shard(self, shard_id: int) -> "FaultPlan":
         """Derive shard ``shard_id``'s plan from this campaign plan.

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import TYPE_CHECKING
 
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, Prekeyed
 from repro.obs.tracer import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -60,16 +60,31 @@ class CostAttribution:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.keep_events = keep_events
         self.tracer: Tracer | None = None
-        #: Optional :class:`repro.obs.telemetry.TelemetryBus` receiving
-        #: every attributed charge (assign before :meth:`attach`).
-        self.telemetry = None
+        self._telemetry = None
         self._clock: "CostClock | None" = None
+        # kind -> its (charge.<kind>.ms, charge.<kind>.count) counters.
+        self._charge_counters = Prekeyed(
+            lambda kind: (
+                self.registry.counters[f"charge.{kind}.ms"],
+                self.registry.counters[f"charge.{kind}.count"],
+            )
+        )
         self._phase_ms: dict[str, float] = defaultdict(float)
         self._procedure_ms: dict[str, float] = defaultdict(float)
-        self._procedure_phase_ms: dict[str, dict[str, float]] = defaultdict(
-            lambda: defaultdict(float)
-        )
         self._unspanned_ms: dict[str, float] = defaultdict(float)
+
+    @property
+    def telemetry(self):
+        """Optional :class:`repro.obs.telemetry.TelemetryBus` receiving
+        every attributed charge and, through the tracer, every event.
+        Assign it before or after :meth:`attach`."""
+        return self._telemetry
+
+    @telemetry.setter
+    def telemetry(self, bus) -> None:
+        self._telemetry = bus
+        if self.tracer is not None:
+            self.tracer.telemetry = bus
 
     # -- lifecycle -------------------------------------------------------
 
@@ -80,7 +95,7 @@ class CostAttribution:
         self.tracer = Tracer(
             registry=self.registry, clock=clock, keep_events=self.keep_events
         )
-        self.tracer.telemetry = self.telemetry
+        self.tracer.telemetry = self._telemetry
         clock.set_attribution(self._on_charge, self.tracer)
         self._clock = clock
         return self
@@ -100,34 +115,35 @@ class CostAttribution:
 
     def _on_charge(self, kind: str, ms: float, count: int) -> None:
         tracer = self.tracer
-        phase = tracer.current_phase() if tracer is not None else None
-        if phase is None:
-            phase = DEFAULT_PHASE_FOR_KIND.get(kind, "misc.fixed")
+        phases = tracer._phase_stack
+        phase = (
+            phases[-1] if phases
+            else DEFAULT_PHASE_FOR_KIND.get(kind, "misc.fixed")
+        )
         self._phase_ms[phase] += ms
         # Credit the innermost span's self time (the flight recorder's
         # per-slice charge), or the un-spanned pool when no span is open.
-        span = tracer.innermost_span() if tracer is not None else None
-        if span is not None:
+        spans = tracer._stack
+        if spans:
+            span = spans[-1]
             if span.charges is None:
                 span.charges = {}
             span.charges[phase] = span.charges.get(phase, 0.0) + ms
         else:
             self._unspanned_ms[phase] += ms
-        procedure = (
-            tracer.current_procedure() if tracer is not None else None
-        )
+        procedures = tracer._procedure_stack
+        procedure = procedures[-1] if procedures else None
         if procedure is not None:
             self._procedure_ms[procedure] += ms
-            self._procedure_phase_ms[procedure][phase] += ms
-        counters = self.registry
-        counters.counter(f"charge.{kind}.ms").inc(ms)
-        counters.counter(f"charge.{kind}.count").inc(count)
-        if self.telemetry is not None:
-            self.telemetry.on_charge(
-                phase,
-                procedure,
-                ms,
-                tracer._now_ms() if tracer is not None else 0.0,
+        # The clock has already refused a negative charge, so the
+        # counters are added to without Counter.inc's check and call; the
+        # clock is read without its property's.
+        ms_counter, count_counter = self._charge_counters[kind]
+        ms_counter.value += ms
+        count_counter.value += count
+        if self._telemetry is not None:
+            self._telemetry.phase_series[procedure][phase].observe(
+                ms, self._clock._elapsed_ms
             )
 
     # -- results ---------------------------------------------------------
@@ -155,13 +171,6 @@ class CostAttribution:
         """Milliseconds charged while *no* span was active, per attributed
         phase (the complement of every span's ``self_ms_by_phase``)."""
         return dict(sorted(self._unspanned_ms.items(), key=lambda kv: -kv[1]))
-
-    def procedure_phase_costs(self) -> dict[str, dict[str, float]]:
-        """Per-procedure phase breakdown (nested plain dicts)."""
-        return {
-            procedure: dict(phases)
-            for procedure, phases in self._procedure_phase_ms.items()
-        }
 
     def as_dict(self) -> dict:
         """JSON-ready summary: phases, procedures, and the registry."""

@@ -289,22 +289,9 @@ def run_bench_suite(operations: int = 120, seed: int = 7) -> dict:
     checks[f"{prefix}.oracle_ok"] = chaos.oracle_ok
     checks[f"{prefix}.attribution_consistent"] = chaos.attribution_consistent
 
-    import dataclasses
-
-    from repro.faults.injector import FaultKind, ScheduledFault
-
-    base_plan = FaultPlan.seeded(seed, max_faults=_CHAOS_FAULT_BUDGET)
-    kill_plan = dataclasses.replace(
-        base_plan,
-        schedule=[
-            *base_plan.schedule,
-            ScheduledFault(
-                f"shard.{_SHARD_CHAOS_KILL}.shard.crash",
-                1,
-                FaultKind.CRASH,
-            ),
-        ],
-    )
+    kill_plan = FaultPlan.seeded(
+        seed, max_faults=_CHAOS_FAULT_BUDGET
+    ).with_shard_kill(_SHARD_CHAOS_KILL)
     for replicas in _SHARD_CHAOS_REPLICAS:
         shard_chaos = run_chaos(
             params,

@@ -82,28 +82,12 @@ def run_monitor(
     bus = TelemetryBus(window_ms=window_ms)
     observation = CostAttribution()
     if chaos:
-        import dataclasses
-
         from repro.faults.chaos import run_chaos
-        from repro.faults.injector import (
-            FaultKind,
-            FaultPlan,
-            ScheduledFault,
-        )
+        from repro.faults.injector import FaultPlan
 
         plan = FaultPlan.seeded(seed, max_faults=fault_events)
         if kill_shard is not None:
-            plan = dataclasses.replace(
-                plan,
-                schedule=[
-                    *plan.schedule,
-                    ScheduledFault(
-                        f"shard.{kill_shard}.shard.crash",
-                        1,
-                        FaultKind.CRASH,
-                    ),
-                ],
-            )
+            plan = plan.with_shard_kill(kill_shard)
         result = run_chaos(
             params,
             strategy_name,

@@ -14,6 +14,22 @@ import bisect
 from repro.sim.metrics import RunningStat
 
 
+class Prekeyed(dict):
+    """A table that resolves each key once: a miss calls ``resolve(key)``
+    and keeps the answer, a hit is one dict lookup. The per-sample paths
+    (tracer events, attributed charges, the telemetry bus) index these
+    instead of rebuilding a name or a key tuple for every sample."""
+
+    __slots__ = ("_resolve",)
+
+    def __init__(self, resolve) -> None:
+        self._resolve = resolve
+
+    def __missing__(self, key):
+        value = self[key] = self._resolve(key)
+        return value
+
+
 class Counter:
     """A monotonically increasing value (counts or accumulated ms)."""
 
@@ -143,13 +159,14 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self._counters: dict[str, Counter] = {}
+        #: ``name -> Counter``, created on first use.
+        self.counters: Prekeyed = Prekeyed(self._new_counter)
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
 
     def _check_unique(self, name: str, kind: str) -> None:
         owners = {
-            "counter": self._counters,
+            "counter": self.counters,
             "gauge": self._gauges,
             "histogram": self._histograms,
         }
@@ -159,12 +176,12 @@ class MetricsRegistry:
                     f"metric {name!r} already registered as a {other_kind}"
                 )
 
+    def _new_counter(self, name: str) -> Counter:
+        self._check_unique(name, "counter")
+        return Counter(name)
+
     def counter(self, name: str) -> Counter:
-        instrument = self._counters.get(name)
-        if instrument is None:
-            self._check_unique(name, "counter")
-            instrument = self._counters[name] = Counter(name)
-        return instrument
+        return self.counters[name]
 
     def gauge(self, name: str) -> Gauge:
         instrument = self._gauges.get(name)
@@ -199,7 +216,7 @@ class MetricsRegistry:
     # -- export ----------------------------------------------------------
 
     def counter_values(self) -> dict[str, float]:
-        return {name: c.value for name, c in sorted(self._counters.items())}
+        return {name: c.value for name, c in sorted(self.counters.items())}
 
     def gauge_values(self) -> dict[str, float]:
         return {name: g.value for name, g in sorted(self._gauges.items())}

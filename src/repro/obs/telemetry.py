@@ -8,7 +8,7 @@ from the shard engine, lock manager, and overload controller, and folds
 them into fixed-window rolling aggregates keyed by
 ``(kind, shard, procedure, point)``.
 
-Three invariants make the bus safe to leave on:
+Four invariants make the bus safe to leave on:
 
 - **Nothing is charged.** The bus is pure Python bookkeeping driven by
   timestamps the callers already hold; the simulated clock of a
@@ -17,18 +17,24 @@ Three invariants make the bus safe to leave on:
 - **Zero overhead when off.** Every forwarding site guards on
   ``telemetry is not None`` — the same single-test discipline as the
   tracer — so an unwired run does no extra work.
+- **A counted cost when on.** A sample is one :meth:`WindowedSeries.
+  observe` on a series its emitter resolved once; a closed window is a
+  packed row, not an object; percentiles are sorted out only when
+  somebody reads them. ``tests/test_obs_overhead.py`` gates both as
+  exact counts (Python calls per sample, objects per window).
 - **Exact reconciliation.** Charge samples (``kind == "phase"``) land in
   exactly one series each, so summing every window of every phase
   series reproduces the attribution cost pie — the same invariant style
-  as the flight recorder (:func:`phase_totals` is the checker).
+  as the flight recorder (:func:`reconciles` is the checker).
 
 Windows are indexed over *simulated* milliseconds (``window index =
 now_ms // window_ms``); empty windows are skipped, so series stay sparse
-under bursty workloads. Per-window aggregates reuse the repo's bounded
-deterministic sampling (:class:`repro.sim.RunningStat`) for p50/p99 and
-keep an exact running sum for reconciliation. Everything — window
-records, health transitions, both export formats — is byte-identical
-across same-seed runs: no wall-clock reads, no RNG, sorted keys.
+under bursty workloads. Per-window p50/p99 follow the repo's bounded
+deterministic sampling (the retention and interpolation rules of
+:class:`repro.sim.RunningStat`) beside an exact running sum for
+reconciliation. Everything — window records, health transitions, both
+export formats — is byte-identical across same-seed runs: no wall-clock
+reads, no RNG, sorted keys.
 
 On top of the series sits :class:`HealthEvaluator`: per-shard window
 signals (invalidation rate, lock-wait fraction, aborts, fault
@@ -47,11 +53,13 @@ from __future__ import annotations
 
 import json
 import math
+import struct
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.obs.flight import SCHEMA_VERSION, ensure_parent_dir
-from repro.sim.metrics import RunningStat
+from repro.obs.registry import Prekeyed
 
 #: Sample kinds carried by the bus. ``phase`` samples are attributed
 #: clock charges (and sum to the cost pie); ``event`` samples are tracer
@@ -105,21 +113,61 @@ class WindowRecord:
         }
 
 
+def _percentile(ascending: list[float], p: float) -> float:
+    """Linearly-interpolated percentile of a non-empty sorted sample —
+    the formula of :meth:`repro.sim.RunningStat.percentile`."""
+    if len(ascending) == 1:
+        return ascending[0]
+    rank = (p / 100.0) * (len(ascending) - 1)
+    lo = math.floor(rank)
+    hi = math.ceil(rank)
+    if lo == hi:
+        return ascending[lo]
+    frac = rank - lo
+    return ascending[lo] * (1.0 - frac) + ascending[hi] * frac
+
+
+def _check_windowing(window_ms: float, sample_limit: int) -> None:
+    if not (math.isfinite(window_ms) and window_ms > 0):
+        raise ValueError(
+            f"window_ms must be finite and positive, got {window_ms!r}"
+        )
+    if sample_limit < 0:
+        raise ValueError(f"sample_limit must be >= 0, got {sample_limit!r}")
+
+
+#: One closed window: index (a whole number held as a double, as the
+#: sample path computes it), count, sum, mean, max, last, and where its
+#: retained samples end in the series' flat sample column.
+_ROW = struct.Struct("=dqddddq")
+
+
 class WindowedSeries:
     """Fixed-window rolling aggregates for one ``(kind, shard,
     procedure, point)`` key.
 
-    Values fold into the current open window; advancing time (every
-    ``observe`` carries ``now_ms``) closes passed windows into
-    :class:`WindowRecord`\\ s. Empty windows produce no record. The
-    running sum is kept exactly (not reconstructed from the Welford
+    Nearly every second sample closes a window (100 simulated ms against
+    30-ms page I/Os), so a window costs no object: the *open* window is
+    plain slots — count, exact running sum, Welford mean in arrival
+    order, max, last — plus the tail of one flat sample column, and
+    advancing time (every ``observe`` carries ``now_ms``) packs the
+    slots into one typed :data:`_ROW` of a byte buffer. Empty windows
+    produce no row. :class:`WindowRecord`\\ s, and the sort behind
+    p50/p99, are built only when :attr:`windows` is read.
+
+    The running sum is kept exactly (not reconstructed from the Welford
     mean), so summing ``total`` across windows reproduces the observed
     values to float-addition accuracy — what reconciliation needs.
+    Retention is :class:`repro.sim.RunningStat`'s: past ``sample_limit``
+    samples in one window every other retained one is dropped and the
+    keep stride doubles. ``sample_limit=0`` retains nothing; p50/p99 are
+    then the window's mean.
     """
 
     __slots__ = (
-        "window_ms", "sample_limit", "windows", "total",
-        "_index", "_sum", "_stat", "_last",
+        "window_ms", "sample_limit", "total", "end_ms",
+        "_index", "_count", "_sum", "_mean", "_max", "_last",
+        "_stride", "_since_kept", "_rows", "_samples", "_records",
     )
 
     def __init__(
@@ -127,64 +175,140 @@ class WindowedSeries:
         window_ms: float,
         sample_limit: int = DEFAULT_SAMPLE_LIMIT,
     ) -> None:
-        if window_ms <= 0:
-            raise ValueError("window_ms must be positive")
+        _check_windowing(window_ms, sample_limit)
         self.window_ms = window_ms
         self.sample_limit = sample_limit
-        self.windows: list[WindowRecord] = []
         #: Exact sum over every observation (all windows, open included).
         self.total = 0.0
-        self._index = 0
+        #: Largest ``now_ms`` observed.
+        self.end_ms = 0.0
+        self._index = 0.0
+        self._count = 0
         self._sum = 0.0
-        self._stat: RunningStat | None = None
+        self._mean = 0.0
+        self._max = -math.inf
         self._last = 0.0
+        # Keep every ``_stride``-th sample; 0 when retention is off.
+        self._stride = 1 if sample_limit else 0
+        self._since_kept = 0
+        self._rows = bytearray()
+        self._samples = array("d")
+        self._records: list[WindowRecord] = []
 
     def observe(self, value: float, now_ms: float) -> None:
-        index = int(now_ms // self.window_ms)
+        index = now_ms // self.window_ms
         if index > self._index:
             self._close(index)
-        if self._stat is None:
-            self._stat = RunningStat(sample_limit=self.sample_limit)
-        self._stat.add(value)
+        if now_ms > self.end_ms:
+            self.end_ms = now_ms
+        count = self._count = self._count + 1
+        mean = self._mean
+        self._mean = mean + (value - mean) / count
         self._sum += value
+        if value > self._max:
+            self._max = value
         self._last = value
         self.total += value
+        stride = self._stride
+        if stride == 1:
+            self._samples.append(value)
+            if count > self.sample_limit:
+                self._decimate()
+        elif stride:
+            self._since_kept += 1
+            if self._since_kept >= stride:
+                self._since_kept = 0
+                self._samples.append(value)
+                if len(self._samples) - self._open_start() > self.sample_limit:
+                    self._decimate()
 
-    def _close(self, next_index: int) -> None:
-        stat = self._stat
-        if stat is not None and stat.count:
-            self.windows.append(
-                WindowRecord(
-                    window=self._index,
-                    start_ms=self._index * self.window_ms,
-                    count=stat.count,
-                    total=self._sum,
-                    mean=stat.mean,
-                    p50=stat.p50,
-                    p99=stat.p99,
-                    maximum=stat.maximum,
-                    last=self._last,
-                )
+    def _row(self, row: int) -> tuple:
+        return _ROW.unpack_from(self._rows, row * _ROW.size)
+
+    def _open_start(self) -> int:
+        """Where the open window's retained samples start."""
+        return self._row(self.num_closed - 1)[-1] if self._rows else 0
+
+    def _decimate(self) -> None:
+        """Keep every other retained sample of the open window and halve
+        the future keep rate (percentiles degrade to an approximation
+        past the cap but stay reproducible)."""
+        start = self._open_start()
+        kept = self._samples[start::2]
+        del self._samples[start:]
+        self._samples.extend(kept)
+        self._stride *= 2
+
+    def _close(self, next_index: float) -> None:
+        if self._count:
+            self._rows += _ROW.pack(
+                self._index, self._count, self._sum, self._mean,
+                self._max, self._last, len(self._samples),
             )
+            self._count = 0
+            self._sum = 0.0
+            self._mean = 0.0
+            self._max = -math.inf
+            if self._stride > 1:
+                self._stride = 1
+                self._since_kept = 0
         self._index = next_index
-        self._sum = 0.0
-        self._stat = None
 
     def finalize(self, end_ms: float) -> None:
         """Close the open window (idempotent for a given ``end_ms``)."""
-        self._close(int(end_ms // self.window_ms) + 1)
+        self._close(end_ms // self.window_ms + 1)
+
+    @property
+    def num_closed(self) -> int:
+        return len(self._rows) // _ROW.size
+
+    @property
+    def count(self) -> int:
+        """Observations folded so far (all windows, open included)."""
+        return self._count + sum(
+            row[1] for row in _ROW.iter_unpack(self._rows)
+        )
+
+    @property
+    def windows(self) -> list[WindowRecord]:
+        """The closed windows, oldest first. Records are digested from
+        the rows on first read and cached; the list is this series' own
+        and grows as later windows close."""
+        records = self._records
+        start = self._row(len(records) - 1)[-1] if records else 0
+        for row in range(len(records), self.num_closed):
+            window, count, total, mean, maximum, last, end = self._row(row)
+            retained = sorted(self._samples[start:end])
+            start = end
+            records.append(
+                WindowRecord(
+                    window=int(window),
+                    start_ms=window * self.window_ms,
+                    count=count,
+                    total=total,
+                    mean=mean,
+                    p50=_percentile(retained, 50.0) if retained else mean,
+                    p99=_percentile(retained, 99.0) if retained else mean,
+                    maximum=maximum,
+                    last=last,
+                )
+            )
+        return records
 
 
 class TelemetryBus:
     """The receive side: samples in, windowed series out.
 
     Wire it by assigning it to a :class:`repro.obs.CostAttribution`'s
-    ``telemetry`` attribute *before* ``attach`` (the workload and chaos
-    runners do this when handed a ``telemetry=`` argument); the
-    attribution forwards every charge and propagates the bus to its
-    tracer, which forwards every event. Engines with per-shard context
-    (the sharded facade, the lock manager, the overload controller)
-    additionally push explicit points via :meth:`on_point`.
+    ``telemetry`` attribute (the workload and chaos runners do this when
+    handed a ``telemetry=`` argument); the attribution forwards every
+    charge and propagates the bus to its tracer, which forwards every
+    event. Both index :attr:`phase_series` / :attr:`event_series` — the
+    series pre-keyed by procedure, then by point — so a sample is one
+    :meth:`WindowedSeries.observe` call on an already-resolved object.
+    Engines with per-shard context (the sharded facade, the lock
+    manager, the overload controller) additionally push explicit points
+    via :meth:`on_point`.
 
     ``shard_resolver`` maps a procedure name to its home shard; with a
     single shard (or no resolver) everything lands on shard 0, and in a
@@ -197,15 +321,17 @@ class TelemetryBus:
         window_ms: float = 100.0,
         sample_limit: int = DEFAULT_SAMPLE_LIMIT,
     ) -> None:
-        if window_ms <= 0:
-            raise ValueError("window_ms must be positive")
+        _check_windowing(window_ms, sample_limit)
         self.window_ms = window_ms
         self.sample_limit = sample_limit
         self.series: dict[tuple, WindowedSeries] = {}
         self.num_shards = 1
         self.shard_resolver: Optional[Callable[[str], int]] = None
-        self.end_ms = 0.0
-        self.samples_received = 0
+        self._end_ms = 0.0
+        #: ``[procedure][phase]`` / ``[procedure][event name]`` -> the
+        #: series, resolved on first use (``procedure`` may be ``None``).
+        self.phase_series = self._prekeyed(KIND_PHASE)
+        self.event_series = self._prekeyed(KIND_EVENT)
 
     # -- wiring ----------------------------------------------------------
 
@@ -220,6 +346,9 @@ class TelemetryBus:
             raise ValueError("num_shards must be >= 1")
         self.num_shards = num_shards
         self.shard_resolver = shard_resolver
+        # Pre-keyed series carry the old topology's shard: resolve anew.
+        self.phase_series.clear()
+        self.event_series.clear()
 
     def _shard_of(self, procedure: Optional[str]) -> Optional[int]:
         if self.num_shards == 1 or self.shard_resolver is None:
@@ -228,19 +357,25 @@ class TelemetryBus:
             return None
         return self.shard_resolver(procedure)
 
-    # -- the receive side ------------------------------------------------
+    def _prekeyed(self, kind: str) -> Prekeyed:
+        return Prekeyed(
+            lambda procedure: Prekeyed(
+                lambda point: self._series(
+                    (kind, self._shard_of(procedure), procedure, point)
+                )
+            )
+        )
 
-    def _observe(self, key: tuple, value: float, now_ms: float) -> None:
+    def _series(self, key: tuple) -> WindowedSeries:
         series = self.series.get(key)
         if series is None:
-            series = WindowedSeries(
+            series = self.series[key] = WindowedSeries(
                 self.window_ms, sample_limit=self.sample_limit
             )
-            self.series[key] = series
-        series.observe(value, now_ms)
-        self.samples_received += 1
-        if now_ms > self.end_ms:
-            self.end_ms = now_ms
+        return series
+
+    # -- the receive side ------------------------------------------------
+    # Every sample, pre-keyed or not, is one WindowedSeries.observe.
 
     def on_charge(
         self,
@@ -249,12 +384,8 @@ class TelemetryBus:
         ms: float,
         now_ms: float,
     ) -> None:
-        """One attributed clock charge (forwarded by CostAttribution)."""
-        self._observe(
-            (KIND_PHASE, self._shard_of(procedure), procedure, phase),
-            ms,
-            now_ms,
-        )
+        """One attributed clock charge."""
+        self.phase_series[procedure][phase].observe(ms, now_ms)
 
     def on_event(
         self,
@@ -263,12 +394,8 @@ class TelemetryBus:
         now_ms: float,
         procedure: Optional[str],
     ) -> None:
-        """One tracer event occurrence (forwarded by Tracer.event)."""
-        self._observe(
-            (KIND_EVENT, self._shard_of(procedure), procedure, name),
-            amount,
-            now_ms,
-        )
+        """One tracer event occurrence."""
+        self.event_series[procedure][name].observe(float(amount), now_ms)
 
     def on_point(
         self,
@@ -279,21 +406,43 @@ class TelemetryBus:
         procedure: Optional[str] = None,
     ) -> None:
         """An explicit sample with caller-supplied shard context (the
-        sharded facade, lock manager, and overload controller)."""
+        sharded facade, lock manager, and overload controller). The one
+        entry fed from outside the clock, so the one that checks: a
+        non-finite value would poison both exporters."""
+        value = float(value)
+        if not (math.isfinite(value) and math.isfinite(now_ms)):
+            raise ValueError(
+                f"point {point!r} must be a finite value at a finite "
+                f"time, got {value!r} at {now_ms!r}"
+            )
         if shard is None:
             shard = self._shard_of(procedure)
-        self._observe((KIND_POINT, shard, procedure, point), value, now_ms)
+        self._series((KIND_POINT, shard, procedure, point)).observe(
+            value, now_ms
+        )
 
     # -- lifecycle -------------------------------------------------------
 
     def finalize(self, end_ms: float) -> None:
         """Close every open window at the end of the measured stream."""
-        if end_ms > self.end_ms:
-            self.end_ms = end_ms
+        self._end_ms = end_ms = max(end_ms, self.end_ms)
         for series in self.series.values():
-            series.finalize(self.end_ms)
+            series.finalize(end_ms)
 
     # -- read side -------------------------------------------------------
+
+    @property
+    def samples_received(self) -> int:
+        """Every sample folded so far (an exact count)."""
+        return sum(series.count for series in self.series.values())
+
+    @property
+    def end_ms(self) -> float:
+        """The latest simulated time seen: by a sample or by
+        :meth:`finalize`."""
+        return max(
+            [self._end_ms, *(s.end_ms for s in self.series.values())]
+        )
 
     @property
     def num_windows(self) -> int:
@@ -316,7 +465,7 @@ class TelemetryBus:
 
     def phase_totals(self) -> dict[str, float]:
         """Sum of every charge-sample series per phase — must reconcile
-        with the attribution cost pie (see :func:`phase_totals`)."""
+        with the attribution cost pie (see :func:`reconciles`)."""
         totals: dict[str, float] = {}
         for key in self.sorted_keys():
             kind, _shard, _procedure, point = key
@@ -340,12 +489,6 @@ class TelemetryBus:
             for record in self.series[key].windows:
                 per_window.setdefault(record.window, []).append(record)
         return out
-
-
-def phase_totals(bus: TelemetryBus) -> dict[str, float]:
-    """Module-level alias of :meth:`TelemetryBus.phase_totals` (the
-    reconciliation checker the bench scenario imports)."""
-    return bus.phase_totals()
 
 
 def reconciles(
@@ -600,29 +743,23 @@ class HealthEvaluator:
                 sig = windows.get(window, empty)
                 level, reason = self._level(sig, bus.window_ms)
                 if level > state:
+                    target = level
+                elif state > STATE_OK and self._clear(sig, bus.window_ms):
+                    target, reason = state - 1, "recovered"
+                else:
+                    target = state
+                if target != state:
                     report.transitions.append(
                         HealthTransition(
                             shard=shard,
                             window=window,
                             start_ms=window * bus.window_ms,
                             from_state=state,
-                            to_state=level,
+                            to_state=target,
                             reason=reason,
                         )
                     )
-                    state = level
-                elif state > STATE_OK and self._clear(sig, bus.window_ms):
-                    report.transitions.append(
-                        HealthTransition(
-                            shard=shard,
-                            window=window,
-                            start_ms=window * bus.window_ms,
-                            from_state=state,
-                            to_state=state - 1,
-                            reason="recovered",
-                        )
-                    )
-                    state -= 1
+                    state = target
                 states.append(state)
             report.timeline[shard] = states
         return report
@@ -736,50 +873,32 @@ def to_openmetrics(
         "Fixed aggregation window in simulated milliseconds",
     )
     out.append(f"repro_telemetry_window_ms {_fmt(bus.window_ms)}")
-    family(
-        "repro_phase_ms_total",
-        "counter",
-        "Simulated milliseconds attributed per shard/procedure/phase",
+    families = (
+        (KIND_PHASE, "repro_phase_ms_total", "counter", "phase",
+         "Simulated milliseconds attributed per shard/procedure/phase"),
+        (KIND_EVENT, "repro_event_total", "counter", "event",
+         "Tracer event occurrences per shard/procedure/event"),
+        (KIND_POINT, "repro_point_last", "gauge", "point",
+         "Last observed value of each explicit per-shard point"),
     )
-    for key in bus.sorted_keys():
-        kind, shard, procedure, point = key
-        if kind != KIND_PHASE:
-            continue
-        sample(
-            "repro_phase_ms_total",
-            {"shard": shard, "procedure": procedure, "phase": point},
-            bus.series[key].total,
-        )
-    family(
-        "repro_event_total",
-        "counter",
-        "Tracer event occurrences per shard/procedure/event",
-    )
-    for key in bus.sorted_keys():
-        kind, shard, procedure, point = key
-        if kind != KIND_EVENT:
-            continue
-        sample(
-            "repro_event_total",
-            {"shard": shard, "procedure": procedure, "event": point},
-            bus.series[key].total,
-        )
-    family(
-        "repro_point_last",
-        "gauge",
-        "Last observed value of each explicit per-shard point",
-    )
-    for key in bus.sorted_keys():
-        kind, shard, procedure, point = key
-        if kind != KIND_POINT:
-            continue
-        records = bus.series[key].windows
-        last = records[-1].last if records else 0.0
-        sample(
-            "repro_point_last",
-            {"shard": shard, "procedure": procedure, "point": point},
-            last,
-        )
+    keys = bus.sorted_keys()
+    for family_kind, name, metric_type, label, help_text in families:
+        family(name, metric_type, help_text)
+        for key in keys:
+            kind, shard, procedure, point = key
+            if kind != family_kind:
+                continue
+            series = bus.series[key]
+            if kind == KIND_POINT:
+                records = series.windows
+                value = records[-1].last if records else 0.0
+            else:
+                value = series.total
+            sample(
+                name,
+                {"shard": shard, "procedure": procedure, label: point},
+                value,
+            )
     if health is not None:
         family(
             "repro_health_state",

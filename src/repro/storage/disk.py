@@ -8,6 +8,7 @@ Caching, when wanted, is layered on top by :class:`repro.storage.BufferPool`.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from repro.sim import CostClock
@@ -21,13 +22,15 @@ class UnknownFileError(KeyError):
     """Raised when addressing a file the disk has never heard of."""
 
 
-def _file_group(name: str) -> str:
-    """Coarse per-file-family label for I/O counters: ``cache.p12`` and
-    ``rete.beta.7`` both collapse to their first dotted component, base
-    relation heaps (``R1``) stay as-is — keeps metric cardinality bounded
-    however many procedures a run defines."""
-    dot = name.find(".")
-    return name if dot < 0 else name[:dot]
+@lru_cache(maxsize=4096)
+def _io_events(name: str) -> tuple[str, str]:
+    """The per-file-family (read, write) event names of file ``name``,
+    resolved once per file rather than formatted per page: ``cache.p12``
+    and ``rete.beta.7`` both collapse to their first dotted component,
+    base relation heaps (``R1``) stay as-is — keeps metric cardinality
+    bounded however many procedures a run defines."""
+    group = name.partition(".")[0]
+    return f"disk.read.pages:{group}", f"disk.write.pages:{group}"
 
 
 class DiskManager:
@@ -97,7 +100,7 @@ class DiskManager:
         tracer = self.clock.tracer
         if tracer is not None:
             tracer.event("disk.read.pages")
-            tracer.event(f"disk.read.pages:{_file_group(name)}")
+            tracer.event(_io_events(name)[0])
         self.clock.charge_read(1)
         page = pages[page_no]
         if self.injector is not None:
@@ -119,7 +122,7 @@ class DiskManager:
         tracer = self.clock.tracer
         if tracer is not None:
             tracer.event("disk.write.pages")
-            tracer.event(f"disk.write.pages:{_file_group(name)}")
+            tracer.event(_io_events(name)[1])
         self.clock.charge_write(1)
         if self.injector is not None:
             self.injector.before_write(name, pages[page_no], self.clock)

@@ -17,6 +17,8 @@ from __future__ import annotations
 import json
 import re
 
+import pytest
+
 from repro.experiments.simcompare import SIM_SCALE_PARAMS
 from repro.obs import FlightRecorder
 from repro.obs.flight import (
@@ -39,6 +41,28 @@ _SAMPLE = re.compile(
     r"^[a-z_][a-z0-9_]*(\{[^{}]*\})? -?[0-9.]+(e[+-]?[0-9]+)?$|"
     r"^[a-z_][a-z0-9_]*(\{[^{}]*\})? [+-]?inf$"
 )
+
+
+class TestNonFinitePoints:
+    """``on_point`` is the one sample entry fed from outside the clock.
+    A non-finite value used to be accepted and to surface much later, as
+    ``OverflowError``/``ValueError`` inside ``to_openmetrics`` and as the
+    non-JSON tokens ``NaN``/``-Infinity`` in the JSONL log."""
+
+    @pytest.mark.parametrize(
+        "value", [float("inf"), float("-inf"), float("nan")]
+    )
+    def test_rejected_at_the_call_naming_the_point(self, value):
+        bus = TelemetryBus()
+        with pytest.raises(ValueError, match="shard.queue.depth"):
+            bus.on_point("shard.queue.depth", value, 10.0, shard=0)
+        with pytest.raises(ValueError, match="shard.queue.depth"):
+            bus.on_point("shard.queue.depth", 1.0, value, shard=0)
+        assert not bus.series and bus.samples_received == 0
+        bus.finalize(10.0)
+        to_openmetrics(bus)
+        for line in series_jsonl_lines(bus):
+            json.loads(line, parse_constant=pytest.fail)
 
 
 class TestEmptyRunExports:

@@ -90,6 +90,23 @@ class TestFaultInjector:
         assert seq[0] == seq[1]
         assert any(kind is not None for kind in seq[0])
 
+    def test_with_shard_kill_appends_one_scheduled_crash(self):
+        plan = FaultPlan.seeded(11, max_faults=40)
+        killed = plan.with_shard_kill(2)
+        assert killed.schedule == (
+            *plan.schedule,
+            ScheduledFault("shard.2.shard.crash", 1, FaultKind.CRASH),
+        )
+        # Everything else is the campaign it was derived from, and only
+        # shard 2's own plan carries the kill.
+        assert (killed.seed, killed.rates, killed.max_faults) == (
+            plan.seed, plan.rates, plan.max_faults,
+        )
+        assert killed.for_shard(2).schedule == (
+            ScheduledFault("shard.crash", 1, FaultKind.CRASH),
+        )
+        assert killed.for_shard(0).schedule == ()
+
     def test_unarmed_injector_is_inert(self):
         injector = FaultInjector(FaultPlan.seeded(11))
         assert all(injector.decide("disk.write") is None for _ in range(300))

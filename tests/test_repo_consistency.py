@@ -180,6 +180,17 @@ class TestOneAssembly:
         }
 
 
+    def test_only_fault_plan_schedules_a_shard_kill(self):
+        # cli, obs/monitor and obs/ledger each used to splice the
+        # ScheduledFault into a copied plan themselves.
+        assert self._call_sites("ScheduledFault") == {
+            "faults/injector.py": 2,  # with_shard_kill, for_shard
+        }
+        assert self._call_sites("with_shard_kill") == {
+            "cli.py": 1, "obs/monitor.py": 1, "obs/ledger.py": 1,
+        }
+
+
 class TestOneFlagVocabulary:
     """``repro.cli`` declares each flag once (``_FLAGS``), builds every
     subparser from that in one ``add_argument`` loop, and times every

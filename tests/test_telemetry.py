@@ -12,13 +12,23 @@ across every strategy / seed / shard-count combination, and the
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import itertools
 import json
+import pathlib
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.experiments.simcompare import SIM_SCALE_PARAMS
-from repro.obs import CostAttribution
+from repro.faults.chaos import run_chaos
+from repro.faults.injector import FaultPlan
+from repro.obs import CostAttribution, FlightRecorder
+from repro.obs.flight import to_chrome_trace
 from repro.obs.monitor import (
     monitor_to_dict,
     render_monitor_table,
@@ -40,6 +50,8 @@ from repro.obs.telemetry import (
     to_openmetrics,
     write_series_jsonl,
 )
+from repro.obs.tracer import Tracer
+from repro.sim import CostClock, RunningStat
 from repro.workload.runner import run_workload
 
 _PARAMS = SIM_SCALE_PARAMS.with_update_probability(0.5)
@@ -114,6 +126,129 @@ class TestWindowedSeries:
         with pytest.raises(ValueError):
             TelemetryBus(window_ms=-1.0)
 
+    @pytest.mark.parametrize("make", [WindowedSeries, TelemetryBus])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"window_ms": float("nan")},
+            {"window_ms": float("inf")},
+            {"window_ms": 100.0, "sample_limit": -1},
+        ],
+    )
+    def test_bad_windowing_fails_in_the_constructor(self, make, kwargs):
+        # Each of these used to be accepted and to fail (or quietly
+        # decimate every sample) at the first observation.
+        with pytest.raises(ValueError):
+            make(**kwargs)
+
+    def test_retention_off_digests_to_the_mean(self):
+        """``sample_limit=0`` keeps moments only: it used to raise
+        EmptySampleError from inside a clock charge at the first window
+        close; p50/p99 are now defined as the window's mean."""
+        bus = TelemetryBus(sample_limit=0)
+        for step, value in enumerate([1.0, 2.0, 6.0]):
+            bus.on_charge("io.read", None, value, 10.0 * step)
+        bus.on_charge("io.read", None, 5.0, 150.0)  # closes window 0
+        bus.finalize(150.0)
+        first, second = bus.series[(KIND_PHASE, 0, None, "io.read")].windows
+        assert (first.count, first.total, first.maximum) == (3, 9.0, 6.0)
+        assert first.p50 == first.p99 == first.mean == 3.0
+        assert second.p50 == second.p99 == 5.0
+        json.loads(series_jsonl_lines(bus)[1])
+
+    def test_windows_is_a_cached_growing_list(self):
+        series = WindowedSeries(window_ms=100.0)
+        series.observe(1.0, 10.0)
+        series.observe(2.0, 110.0)
+        windows = series.windows
+        assert [r.window for r in windows] == [0]
+        assert series.windows[0] is windows[0]
+        series.finalize(110.0)
+        assert [r.window for r in series.windows] == [0, 1]
+        assert series.windows is windows
+        assert series.count == 2 and series.num_closed == 2
+
+
+def _reference_windows(stream, window_ms, sample_limit):
+    """The receive side as it was before the packed-row store: one
+    ``RunningStat`` per window, digested when the window closes."""
+    records, state = [], {"index": 0, "sum": 0.0, "stat": None, "last": 0.0}
+
+    def close(next_index):
+        stat = state["stat"]
+        if stat is not None:
+            digest = (
+                (stat.p50, stat.p99) if stat.has_samples
+                else (stat.mean, stat.mean)
+            )
+            records.append((
+                state["index"], state["index"] * window_ms, stat.count,
+                state["sum"], stat.mean, *digest, stat.maximum,
+                state["last"],
+            ))
+        state.update(index=next_index, sum=0.0, stat=None)
+
+    for value, now_ms in stream:
+        value = float(value)
+        index = int(now_ms // window_ms)
+        if index > state["index"]:
+            close(index)
+        if state["stat"] is None:
+            state["stat"] = RunningStat(sample_limit=sample_limit)
+        state["stat"].add(value)
+        state["sum"] += value
+        state["last"] = value
+    end_ms = max((now for _value, now in stream), default=0.0)
+    close(int(end_ms // window_ms) + 1)
+    return records
+
+
+_values = st.one_of(
+    st.integers(-1000, 1000),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+# Time mostly creeps forward inside a window, sometimes jumps windows
+# ahead (gaps), sometimes runs backwards.
+_steps = st.one_of(
+    st.floats(0.0, 3.0), st.floats(0.0, 400.0), st.floats(-150.0, 0.0)
+)
+
+
+class TestWindowedSeriesMatchesRunningStat:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        samples=st.lists(st.tuples(_values, _steps), max_size=60),
+        window_ms=st.sampled_from([100.0, 10.0, 0.3]),
+        sample_limit=st.sampled_from([0, 1, 2, 3, 8, 256]),
+    )
+    def test_records_equal_the_reference_fold(
+        self, samples, window_ms, sample_limit
+    ):
+        times = itertools.accumulate(
+            (step for _value, step in samples),
+            lambda now, step: max(0.0, now + step),
+            initial=0.0,
+        )
+        stream = [(value, now) for (value, _), now in zip(samples, times)]
+        series = WindowedSeries(window_ms, sample_limit=sample_limit)
+        for value, now_ms in stream:
+            series.observe(value, now_ms)
+        end_ms = max((now for _value, now in stream), default=0.0)
+        assert series.end_ms == end_ms
+        series.finalize(end_ms)
+        expected = _reference_windows(stream, window_ms, sample_limit)
+        assert [dataclasses.astuple(r) for r in series.windows] == expected
+        for record in series.windows:
+            assert all(
+                type(x) is float
+                for x in dataclasses.astuple(record)[3:]
+            )
+        assert series.count == len(stream)
+        total = 0.0
+        for value, _now in stream:
+            total += value
+        assert series.total == total
+
 
 class TestBusRouting:
     def test_single_shard_collapses_to_zero(self):
@@ -155,6 +290,49 @@ class TestBusRouting:
     def test_rejects_bad_shard_count(self):
         with pytest.raises(ValueError):
             TelemetryBus().configure(num_shards=0)
+
+    def test_configure_re_resolves_pre_keyed_series(self):
+        """A tracer holds its procedure's event series pre-keyed; a
+        topology bound later must still decide the shard."""
+        bus = TelemetryBus()
+        tracer = Tracer(clock=CostClock())
+        tracer.telemetry = bus
+        with tracer.span(None, procedure="proc_a"):
+            tracer.event("cache.hit")
+            bus.configure(num_shards=4, shard_resolver=lambda name: 3)
+            tracer.event("cache.hit")
+        assert set(bus.series) == {
+            (KIND_EVENT, 0, "proc_a", "cache.hit"),
+            (KIND_EVENT, 3, "proc_a", "cache.hit"),
+        }
+        assert bus.samples_received == 2
+
+    def test_bus_assigned_after_attach_sees_events_too(self):
+        """Assigning ``telemetry`` after ``attach`` used to wire charges
+        but not events: reconciliation passed with every event series
+        missing."""
+        clock = CostClock()
+        observation = CostAttribution().attach(clock)
+        bus = TelemetryBus()
+        observation.telemetry = bus
+        assert observation.tracer.telemetry is bus
+        observation.tracer.event("cache.miss")
+        clock.charge_read(1)
+        observation.detach()
+        assert {key[0] for key in bus.series} == {KIND_EVENT, KIND_PHASE}
+        assert reconciles(bus, observation.phase_costs())
+
+    def test_samples_received_and_end_ms_keep_their_meaning(self):
+        bus = TelemetryBus()
+        assert (bus.samples_received, bus.end_ms) == (0, 0.0)
+        bus.on_charge("io.read", None, 1.0, 250.0)
+        bus.on_event("cache.hit", 1, 40.0, None)   # earlier than the max
+        bus.on_point("shard.queue.depth", 2, 300.0, shard=0)
+        assert (bus.samples_received, bus.end_ms) == (3, 300.0)
+        bus.finalize(120.0)                          # never moves it back
+        assert bus.end_ms == 300.0
+        bus.finalize(480.0)
+        assert (bus.samples_received, bus.end_ms) == (3, 480.0)
 
 
 class TestReconciliation:
@@ -299,22 +477,101 @@ class TestHealth:
             HealthThresholds(warn_lock_wait=0.95, critical_lock_wait=0.9)
 
 
+#: SHA-256 of every export of the determinism matrix, pinned once from
+#: the parent of the columnar window store plus the float coercion at the
+#: bus boundary (``--regen`` below) and never regenerated since: a change
+#: to the receive side must reproduce every byte.
+_GOLDEN_PATH = (
+    pathlib.Path(__file__).parent / "fixtures" / "telemetry_golden.json"
+)
+# What TestDeterminism's three parametrize decorators span.
+_MATRIX = list(itertools.product(_ALL_STRATEGIES, (3, 11), (None, 4)))
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _export_digests(report) -> dict[str, str]:
+    return {
+        "jsonl": _sha("\n".join(series_jsonl_lines(report.bus, report.health))),
+        "openmetrics": _sha(to_openmetrics(report.bus, report.health)),
+        "monitor": _sha(json.dumps(monitor_to_dict(report), sort_keys=True)),
+    }
+
+
+def _matrix_report(strategy, seed, shards):
+    return run_monitor(
+        strategy, _PARAMS, num_operations=25, seed=seed, shards=shards
+    )
+
+
+def _chaos_report():
+    return run_monitor(
+        "cache_invalidate",
+        _PARAMS,
+        num_operations=40,
+        seed=3,
+        shards=2,
+        replicas=1,
+        chaos=True,
+        mpl=2,
+        fault_events=20,
+        kill_shard=0,
+    )
+
+
+def _chaos_trace_digest() -> str:
+    """The complete Chrome trace of one chaos run with the bus riding
+    along: pins every span's ``self_ms_by_phase``."""
+    recorder = FlightRecorder()
+    run_chaos(
+        _PARAMS,
+        "cache_invalidate",
+        plan=FaultPlan.seeded(3, max_faults=20),
+        mpl=2,
+        num_operations=40,
+        seed=3,
+        observation=recorder.observation,
+        telemetry=TelemetryBus(),
+    )
+    trace = to_chrome_trace(recorder.observation, label="golden")
+    return _sha(json.dumps(trace, sort_keys=True))
+
+
+def _case_id(strategy, seed, shards) -> str:
+    return f"{strategy}-seed{seed}-shards{shards}"
+
+
+def _compute_golden() -> dict:
+    return {
+        "matrix": {
+            _case_id(*case): _export_digests(_matrix_report(*case))
+            for case in _MATRIX
+        },
+        "chaos_monitor": _export_digests(_chaos_report()),
+        "chaos_trace": _chaos_trace_digest(),
+    }
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(_GOLDEN_PATH.read_text())
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("strategy", _ALL_STRATEGIES)
     @pytest.mark.parametrize("seed", [3, 11])
     @pytest.mark.parametrize("shards", [None, 4])
-    def test_same_seed_runs_are_byte_identical(self, strategy, seed, shards):
-        reports = [
-            run_monitor(
-                strategy,
-                _PARAMS,
-                num_operations=25,
-                seed=seed,
-                shards=shards,
-            )
-            for _ in range(2)
-        ]
-        first, second = reports
+    def test_same_seed_runs_are_byte_identical(
+        self, strategy, seed, shards, golden
+    ):
+        first, second = (
+            _matrix_report(strategy, seed, shards) for _ in range(2)
+        )
+        assert _export_digests(first) == (
+            golden["matrix"][_case_id(strategy, seed, shards)]
+        )
         assert series_jsonl_lines(first.bus, first.health) == (
             series_jsonl_lines(second.bus, second.health)
         )
@@ -325,23 +582,9 @@ class TestDeterminism:
         assert monitor_to_dict(first) == monitor_to_dict(second)
         assert first.reconciliation_ok and second.reconciliation_ok
 
-    def test_chaos_monitor_deterministic(self):
-        reports = [
-            run_monitor(
-                "cache_invalidate",
-                _PARAMS,
-                num_operations=40,
-                seed=3,
-                shards=2,
-                replicas=1,
-                chaos=True,
-                mpl=2,
-                fault_events=20,
-                kill_shard=0,
-            )
-            for _ in range(2)
-        ]
-        first, second = reports
+    def test_chaos_monitor_deterministic(self, golden):
+        first, second = (_chaos_report() for _ in range(2))
+        assert _export_digests(first) == golden["chaos_monitor"]
         assert series_jsonl_lines(first.bus, first.health) == (
             series_jsonl_lines(second.bus, second.health)
         )
@@ -353,6 +596,9 @@ class TestDeterminism:
             if key[0] == KIND_POINT and key[3] == "shard.crash"
         ]
         assert fault_keys
+
+    def test_chaos_trace_matches_golden(self, golden):
+        assert _chaos_trace_digest() == golden["chaos_trace"]
 
     def test_render_table_deterministic(self):
         reports = [
@@ -391,6 +637,21 @@ class TestExporters:
         assert "# TYPE repro_phase_ms_total counter" in text
         assert "# TYPE repro_health_state gauge" in text
         assert 'repro_health_state{shard="0"}' in text
+
+    def test_jsonl_numbers_are_doubles_whatever_the_call_site_passed(self):
+        """``rete/network.py`` emits ``len(tokens)``: the row used to
+        print ``"last": 20`` beside ``"mean": 20.0``."""
+        bus = TelemetryBus()
+        tracer = Tracer(clock=CostClock())
+        tracer.telemetry = bus
+        tracer.event("rete.tokens", 20)
+        bus.on_event("rete.tokens", 20, 0.0, "proc_a")
+        bus.on_point("shard.queue.depth", 3, 0.0, shard=0)
+        bus.finalize(0.0)
+        for line in series_jsonl_lines(bus)[1:]:
+            row = json.loads(line)
+            for name in ("total", "mean", "p50", "p99", "max", "last"):
+                assert type(row[name]) is float, (name, line)
 
     def test_openmetrics_escapes_labels(self):
         bus = TelemetryBus()
@@ -476,3 +737,13 @@ class TestMonitorCLI:
         out = capsys.readouterr().out
         assert "mode=chaos" in out
         assert "shard0" in out and "shard1" in out
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python -m tests.test_telemetry --regen
+    if sys.argv[1:] != ["--regen"]:
+        sys.exit("usage: python -m tests.test_telemetry --regen")
+    _GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    _GOLDEN_PATH.write_text(
+        json.dumps(_compute_golden(), indent=1, sort_keys=True) + "\n"
+    )
