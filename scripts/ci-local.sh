@@ -39,6 +39,10 @@ run python -m pytest tests/test_serve_differential.py -q
 # objects/window of the telemetry receive side, counted, not timed.
 run python -m pytest tests/test_obs_overhead.py -q
 
+# Storage row-path gate, mirroring CI: Python calls inside repro/storage
+# per moved tuple, counted, with the simulated side pinned.
+run python -m pytest tests/test_storage_overhead.py -q
+
 # Coverage flags mirror CI when pytest-cov is importable (offline boxes
 # without it still run the plain suite).
 cov_flags=()

@@ -30,6 +30,7 @@ from repro.storage.tuples import Row
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.batch import DeltaBatch
+    from repro.storage.catalog import Relation
 
 
 @dataclass
@@ -117,6 +118,32 @@ class ProcedureManager:
             return nullcontext()
         return tracer.span("base.update")
 
+    def _apply_changes(
+        self,
+        relation: "Relation",
+        changes: list[tuple[RID, Row]],
+        cluster_field: str | None,
+    ) -> tuple[list[Row], list[Row]]:
+        """Modify ``changes`` in place (relocating when ``cluster_field``
+        is set); returns ``(inserts, deletes)``. :attr:`last_rids` grows
+        change by change, so after a mid-loop exception it holds the RIDs
+        of exactly the changes that were applied."""
+        deletes: list[Row] = []
+        inserts: list[Row] = []
+        self.last_rids = []
+        for rid, new_row in changes:
+            if cluster_field is None:
+                old_row = relation.update(rid, new_row)
+                new_rid = rid
+            else:
+                old_row, new_rid = relation.update_clustered(
+                    rid, new_row, cluster_field
+                )
+            self.last_rids.append(new_rid)
+            deletes.append(old_row)
+            inserts.append(new_row)
+        return inserts, deletes
+
     # -- operations ----------------------------------------------------------
 
     def access(self, name: str) -> AccessResult:
@@ -146,21 +173,10 @@ class ProcedureManager:
         """
         relation = self.catalog.get(relation_name)
         before_base = self.clock.snapshot()
-        deletes: list[Row] = []
-        inserts: list[Row] = []
-        self.last_rids = []
         with self._base_update_span():
-            for rid, new_row in changes:
-                if cluster_field is None:
-                    old_row = relation.update(rid, new_row)
-                    new_rid = rid
-                else:
-                    old_row, new_rid = relation.update_clustered(
-                        rid, new_row, cluster_field
-                    )
-                self.last_rids.append(new_rid)
-                deletes.append(old_row)
-                inserts.append(new_row)
+            inserts, deletes = self._apply_changes(
+                relation, changes, cluster_field
+            )
         base_cost = self.clock.elapsed_since(before_base)
 
         before_maint = self.clock.snapshot()
@@ -196,21 +212,10 @@ class ProcedureManager:
         :meth:`update`."""
         relation = self.catalog.get(relation_name)
         before_base = self.clock.snapshot()
-        deletes: list[Row] = []
-        inserts: list[Row] = []
-        self.last_rids = []
         with self._base_update_span():
-            for rid, new_row in changes:
-                if cluster_field is None:
-                    old_row = relation.update(rid, new_row)
-                    new_rid = rid
-                else:
-                    old_row, new_rid = relation.update_clustered(
-                        rid, new_row, cluster_field
-                    )
-                self.last_rids.append(new_rid)
-                deletes.append(old_row)
-                inserts.append(new_row)
+            inserts, deletes = self._apply_changes(
+                relation, changes, cluster_field
+            )
         self.base_update_cost_ms += self.clock.elapsed_since(before_base)
         self.num_updates += 1
         if self.update_listener is not None:

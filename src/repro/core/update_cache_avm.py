@@ -120,22 +120,18 @@ class UpdateCacheAVM(ProcedureStrategy):
         query = procedure.query
         driver = query.relations[0]
         rel = self.catalog.get(driver)
-        matcher = query.restriction_of(driver).bind(rel.schema)
         parts = [
             {driver: row}
-            for _rid, row in rel.heap.scan_uncharged()
-            if matcher(row)
+            for row in rel.heap.matching_uncharged(query.restriction_of(driver))
         ]
         for edge in query.joins:
             inner = self.catalog.get(edge.inner_relation)
-            inner_matcher = query.restriction_of(edge.inner_relation).bind(
-                inner.schema
-            )
             inner_pos = inner.schema.index_of(edge.inner_field)
             by_key: dict = {}
-            for _rid, row in inner.heap.scan_uncharged():
-                if inner_matcher(row):
-                    by_key.setdefault(row[inner_pos], []).append(row)
+            for row in inner.heap.matching_uncharged(
+                query.restriction_of(edge.inner_relation)
+            ):
+                by_key.setdefault(row[inner_pos], []).append(row)
             outer_rel = next(
                 name
                 for name in query.relations

@@ -125,10 +125,7 @@ class ReteNetwork:
             self._memories[key] = memory
             tconst = self._tconst_for(relation, predicate)
             tconst.add_successor(memory)
-            matcher = predicate.bind(rel.schema)
-            store.load_silently(
-                row for _rid, row in rel.heap.scan_uncharged() if matcher(row)
-            )
+            store.load_silently(rel.heap.matching_uncharged(predicate))
         else:
             self._tconst_for(relation, predicate)  # bump shared ref count
         memory.ref_count += 1

@@ -162,13 +162,16 @@ class BPlusTree:
         cost.
         """
         path: list[_Internal] = []
-        node = self._visit(self._root_id)
-        while isinstance(node, _Internal):
+        fetch, name, nodes = self.buffer.fetch, self.name, self._nodes
+        node_id = self._root_id
+        fetch(name, node_id)
+        node = nodes[node_id]
+        while type(node) is _Internal:
             path.append(node)
-            child_idx = bisect.bisect_right(node.keys, composite)
-            node = self._visit(node.children[child_idx])
-        assert isinstance(node, _Leaf)
-        return path, node
+            node_id = node.children[bisect.bisect_right(node.keys, composite)]
+            fetch(name, node_id)
+            node = nodes[node_id]
+        return path, node  # type: ignore[return-value]
 
     # -- mutation ---------------------------------------------------------
 
@@ -292,6 +295,21 @@ class BPlusTree:
                 return
             leaf = self._visit(leaf.next_leaf)  # type: ignore[assignment]
             start_idx = 0
+
+    def ceiling_entry(self, key: Any) -> Optional[tuple[Any, RID]]:
+        """The smallest entry with ``entry.key >= key`` (or ``None``):
+        what ``next(range_scan(key, None), None)`` yields, for the same
+        page reads (the descent plus any hops along the leaf chain)."""
+        sentinel = _low_sentinel(key)
+        _path, leaf = self._descend(sentinel)
+        idx = bisect.bisect_left(leaf.entries, sentinel)
+        while idx >= len(leaf.entries):
+            if leaf.next_leaf is None:
+                return None
+            leaf = self._visit(leaf.next_leaf)  # type: ignore[assignment]
+            idx = 0
+        entry = leaf.entries[idx]
+        return entry[0], RID(entry[1], entry[2])
 
     def floor_entry(self, key: Any) -> Optional[tuple[Any, RID]]:
         """The largest entry with ``entry.key <= key`` (or ``None``).

@@ -8,7 +8,9 @@ shift once pages stay resident in memory.
 
 When a tracer is attached to the clock (``repro.obs``), every fetch also
 emits a ``cache.hit`` / ``cache.miss`` event; unobserved runs skip the
-emission entirely.
+emission entirely. With nothing attached at all — no tracer, no
+attribution sink, no fault injector — a pass-through pool does the disk's
+range check and the clock's charge in its own frame (DESIGN.md "Row path").
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Iterable
 
-from repro.storage.disk import DiskManager
+from repro.storage.disk import DiskManager, UnknownFileError
 from repro.storage.page import Page
 
 FrameKey = tuple[str, int]
@@ -44,13 +46,26 @@ class BufferPool:
 
     def fetch(self, file_name: str, page_no: int) -> Page:
         """Return the requested page, charging a read only on a miss."""
-        key = (file_name, page_no)
-        tracer = self.disk.clock.tracer
+        disk = self.disk
+        clock = disk.clock
+        tracer = clock.tracer
         if self.capacity == 0:
             self.misses += 1
+            if tracer is None and clock._sink is None and disk.injector is None:
+                # Nobody is watching: DiskManager.read_page and
+                # CostClock.charge_read(1), in this frame.
+                pages = disk._files.get(file_name)
+                if pages is None:
+                    raise UnknownFileError(f"no file named {file_name!r}")
+                if not 0 <= page_no < len(pages):
+                    raise IndexError(f"file {file_name!r} has no page {page_no}")
+                clock._disk_reads += 1
+                clock._elapsed_ms += clock.params.c2
+                return pages[page_no]
             if tracer is not None:
                 tracer.event("cache.miss")
-            return self.disk.read_page(file_name, page_no)
+            return disk.read_page(file_name, page_no)
+        key = (file_name, page_no)
         if key in self._frames:
             self.hits += 1
             if tracer is not None:
@@ -87,10 +102,22 @@ class BufferPool:
         Pass-through mode charges the write immediately; cached mode defers
         it until eviction or :meth:`flush_all`.
         """
-        key = (file_name, page_no)
         if self.capacity == 0:
-            self.disk.write_page(file_name, page_no)
+            disk = self.disk
+            clock = disk.clock
+            if clock.tracer is None and clock._sink is None and disk.injector is None:
+                # DiskManager.write_page and charge_write(1), in this frame.
+                pages = disk._files.get(file_name)
+                if pages is None:
+                    raise UnknownFileError(f"no file named {file_name!r}")
+                if not 0 <= page_no < len(pages):
+                    raise IndexError(f"file {file_name!r} has no page {page_no}")
+                clock._disk_writes += 1
+                clock._elapsed_ms += clock.params.c2
+                return
+            disk.write_page(file_name, page_no)
             return
+        key = (file_name, page_no)
         if key not in self._frames:
             # The page was modified without being resident (e.g. a fresh
             # allocation) — account for the write immediately.

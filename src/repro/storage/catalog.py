@@ -68,7 +68,7 @@ class Relation:
 
     def insert(self, row: Row) -> RID:
         row = self.schema.make_row(row)
-        rid = self.heap.insert(row)
+        rid = self.heap._insert(row)
         for field, index in self.btree_indexes.items():
             index.insert(self.schema.value(row, field), rid)
         for field, hash_index in self.hash_indexes.items():
@@ -118,21 +118,18 @@ class Relation:
             return old, rid
         index = self.btree_indexes.get(cluster_field)
         old = self.delete(rid)
-        preferred = None
+        neighbor = None
         if index is not None:
             # Prefer the page of the first key at-or-above the new key,
             # falling back to the nearest key below it.
-            for _key, neighbor_rid in index.range_scan(new_row[pos], None):
-                preferred = neighbor_rid.page_no
-                break
-            if preferred is None:
-                floor = index.floor_entry(new_row[pos])
-                if floor is not None:
-                    preferred = floor[1].page_no
-        if preferred is None:
-            new_rid = self.heap.insert(new_row)
+            neighbor = index.ceiling_entry(new_row[pos])
+            if neighbor is None:
+                neighbor = index.floor_entry(new_row[pos])
+        # new_row was validated above, before anything was mutated.
+        if neighbor is None:
+            new_rid = self.heap._insert(new_row)
         else:
-            new_rid = self.heap.insert_near(new_row, preferred)
+            new_rid = self.heap._insert_near(new_row, neighbor[1].page_no)
         for field, btree in self.btree_indexes.items():
             btree.insert(self.schema.value(new_row, field), new_rid)
         for field, hash_index in self.hash_indexes.items():

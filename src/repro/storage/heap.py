@@ -13,10 +13,12 @@ import heapq
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from repro.storage.buffer import BufferPool
+from repro.storage.columnar import columnar_enabled
 from repro.storage.page import Page, RID
 from repro.storage.tuples import Row, Schema
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.query.predicate import Predicate
     from repro.storage.columnar import ColumnBatch
 
 
@@ -51,9 +53,6 @@ class HeapFile:
         if not disk.has_file(name):
             disk.create_file(name)
         self._num_rows = 0
-        # Page numbers known to have at least one free slot. Metadata only —
-        # a real system would keep this in a free-space map page.
-        self._free_pages: set[int] = set()
         # Lazy min-heap over pages that may still be below fill_threshold.
         # Entries go stale when insert_near fills a page past the threshold;
         # insert pops them on contact, so selecting the lowest-numbered
@@ -90,7 +89,10 @@ class HeapFile:
         threshold (the same page the historical sorted free-set scan chose),
         found through the lazy heap above.
         """
-        row = self.schema.make_row(row)
+        return self._insert(self.schema.make_row(row))
+
+    def _insert(self, row: Row) -> RID:
+        """:meth:`insert` for a row ``schema.make_row`` already returned."""
         page_no = None
         while self._open_heap:
             candidate = self._open_heap[0]
@@ -106,11 +108,8 @@ class HeapFile:
         else:
             page = self.buffer.disk.allocate_page(self.name, self.tuples_per_page)
             page_no = page.page_no
-            self._free_pages.add(page_no)
             self._note_open(page_no)
         slot_no = page.insert(row)
-        if page.is_full:
-            self._free_pages.discard(page_no)
         if len(page) >= self.fill_threshold:
             self._drop_open(page_no)
         self.buffer.mark_dirty(self.name, page_no)
@@ -122,19 +121,18 @@ class HeapFile:
         falling back to a normal insert. Used to keep a relation clustered
         on its primary key when updates move a tuple's key: the new version
         is placed next to its key neighbours."""
-        row = self.schema.make_row(row)
+        return self._insert_near(self.schema.make_row(row), preferred_page_no)
+
+    def _insert_near(self, row: Row, preferred_page_no: int) -> RID:
+        """:meth:`insert_near` for an already-validated row."""
         if 0 <= preferred_page_no < self.num_pages:
             page = self.buffer.fetch(self.name, preferred_page_no)
             if not page.is_full:
                 slot_no = page.insert(row)
-                if page.is_full:
-                    self._free_pages.discard(preferred_page_no)
-                else:
-                    self._free_pages.add(preferred_page_no)
                 self.buffer.mark_dirty(self.name, preferred_page_no)
                 self._num_rows += 1
                 return RID(preferred_page_no, slot_no)
-        return self.insert(row)
+        return self._insert(row)
 
     def bulk_load(self, rows: Iterable[Row]) -> list[RID]:
         """Insert many rows; same accounting as repeated :meth:`insert`."""
@@ -159,7 +157,6 @@ class HeapFile:
         page = self.buffer.fetch(self.name, rid.page_no)
         old_row = page.delete(rid.slot_no)
         self.buffer.mark_dirty(self.name, rid.page_no)
-        self._free_pages.add(rid.page_no)
         if len(page) < self.fill_threshold:
             self._note_open(rid.page_no)
         self._num_rows -= 1
@@ -204,6 +201,27 @@ class HeapFile:
             page = disk.peek_page(self.name, page_no)
             for slot_no, row in page.rows():
                 yield RID(page_no, slot_no), row
+
+    def matching_uncharged(self, predicate: "Predicate") -> list[Row]:
+        """The rows satisfying ``predicate``, in page/slot order, without
+        I/O accounting — the one define-time scan (Rete α-loads, AVM's
+        initial values). One vector screen per page; the row-at-a-time
+        scan is the reference under ``columnar_mode(False)``."""
+        if not columnar_enabled():
+            matches = predicate.bind(self.schema)
+            return [row for _rid, row in self.scan_uncharged() if matches(row)]
+        # Imported here: repro.query is built on repro.storage.
+        from repro.query.predicate import compiled_column_matcher
+
+        mask_of = compiled_column_matcher(predicate, self.schema)
+        disk = self.buffer.disk
+        out: list[Row] = []
+        for page_no in range(self.num_pages):
+            page = disk.peek_page(self.name, page_no)
+            if not page.is_empty:
+                _slot_nos, batch = page.column_batch(self.schema)
+                out.extend(batch.select(mask_of(batch)))
+        return out
 
     def _page_uncharged(self, page_no: int) -> Page:
         """Direct page access without I/O accounting — tests only."""

@@ -74,16 +74,19 @@ class Page:
 
     def insert(self, row: Row) -> int:
         """Place ``row`` in the first free slot; return the slot number."""
-        if self.is_full:
+        if self._live >= self.capacity:
             raise PageFullError(f"page {self.page_no} is full")
-        for slot_no, existing in enumerate(self._slots):
-            if existing is None:
-                self._slots[slot_no] = row
-                self._live += 1
-                self._stored_checksum = None
-                self._column_cache = None
-                return slot_no
-        raise PageFullError(f"page {self.page_no} has inconsistent occupancy")
+        try:
+            slot_no = self._slots.index(None)
+        except ValueError:
+            raise PageFullError(
+                f"page {self.page_no} has inconsistent occupancy"
+            ) from None
+        self._slots[slot_no] = row
+        self._live += 1
+        self._stored_checksum = None
+        self._column_cache = None
+        return slot_no
 
     def read(self, slot_no: int) -> Row:
         """Return the row in ``slot_no``; raises ``KeyError`` on empty slots."""

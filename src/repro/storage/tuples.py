@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from dataclasses import field as dataclass_field
 from typing import Any, Iterable, Sequence
 
 Row = tuple
@@ -25,7 +26,10 @@ class FieldKind(enum.Enum):
 
     def python_type(self) -> type:
         """The Python type that stores this kind."""
-        return {"int": int, "float": float, "str": str}[self.value]
+        return _STORAGE_TYPES[self]
+
+
+_STORAGE_TYPES = {FieldKind.INT: int, FieldKind.FLOAT: float, FieldKind.STR: str}
 
 
 @dataclass(frozen=True)
@@ -34,14 +38,18 @@ class Field:
 
     name: str
     kind: FieldKind = FieldKind.INT
+    #: ``kind.python_type()``; a value of exactly this type is storable
+    #: without asking :meth:`accepts`. Fields are shared between schemas.
+    storage_type: type = dataclass_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "storage_type", _STORAGE_TYPES[self.kind])
 
     def accepts(self, value: Any) -> bool:
         """True when ``value`` is storable in this field."""
         if self.kind is FieldKind.FLOAT:
             return isinstance(value, (int, float)) and not isinstance(value, bool)
-        return isinstance(value, self.kind.python_type()) and not isinstance(
-            value, bool
-        )
+        return isinstance(value, self.storage_type) and not isinstance(value, bool)
 
 
 class SchemaError(ValueError):
@@ -99,14 +107,19 @@ class Schema:
         return self.fields[self.index_of(name)]
 
     def make_row(self, values: Iterable[Any]) -> Row:
-        """Validate ``values`` against the schema and return them as a row."""
+        """Validate ``values`` against the schema and return them as a row.
+
+        A value of exactly the field's storage type needs no further
+        test; anything else (``bool``, numpy scalars, an ``int`` for a
+        FLOAT field, subclasses) is decided by :meth:`Field.accepts`.
+        """
         row = tuple(values)
         if len(row) != len(self.fields):
             raise SchemaError(
                 f"expected {len(self.fields)} values, got {len(row)}"
             )
         for field, value in zip(self.fields, row):
-            if not field.accepts(value):
+            if type(value) is not field.storage_type and not field.accepts(value):
                 raise SchemaError(
                     f"value {value!r} not valid for field "
                     f"{field.name!r} of kind {field.kind.value}"

@@ -69,3 +69,50 @@ def test_search_finds_all_duplicates(keys):
         tree.insert(key, RID(i, 0))
     for key in set(keys):
         assert len(tree.search(key)) == keys.count(key)
+
+
+@given(
+    keys=st.lists(st.integers(0, 60), max_size=120),
+    deleted=st.sets(st.integers(0, 119)),
+    probes=st.lists(st.integers(-2, 63), min_size=1, max_size=20),
+    fanout=st.sampled_from([4, 5, 8]),
+)
+@settings(max_examples=150, deadline=None)
+def test_ceiling_entry_is_the_first_of_a_range_scan(keys, deleted, probes, fanout):
+    """Same answer and the same page reads — including a key past its
+    landing leaf's last entry (lazy deletes empty leaves; the probe hops
+    the chain) and a key past the last one (``None`` either way)."""
+    tree = _fresh_tree(fanout)
+    for i, key in enumerate(keys):
+        tree.insert(key, RID(i, 0))
+    for i in deleted:
+        if i < len(keys):
+            tree.delete(keys[i], RID(i, 0))
+    clock = tree.buffer.disk.clock
+    for probe in probes + [max(keys, default=0) + 1]:
+        before = clock.snapshot()
+        expected = next(tree.range_scan(probe, None), None)
+        scan_cost = clock.snapshot() - before
+        before = clock.snapshot()
+        assert tree.ceiling_entry(probe) == expected
+        assert clock.snapshot() - before == scan_cost
+
+
+def test_ceiling_entry_hops_an_emptied_leaf():
+    tree = _fresh_tree(4)
+    for key in range(20):
+        tree.insert(key, RID(key, 0))
+    _path, leaf = tree._descend((7, -1, -1))
+    emptied = [entry[0] for entry in leaf.entries]
+    for key in emptied:
+        tree.delete(key, RID(key, 0))
+    clock = tree.buffer.disk.clock
+    before = clock.disk_reads
+    assert tree.ceiling_entry(emptied[0]) == (
+        emptied[-1] + 1,
+        RID(emptied[-1] + 1, 0),
+    )
+    # The low sentinel sorts below the separator, so the descent lands one
+    # leaf to the left: past its last entry, across the emptied leaf.
+    assert clock.disk_reads - before == tree.height + 2
+    assert tree.ceiling_entry(20) is None
