@@ -26,11 +26,12 @@ else
     echo "==> ruff not installed; skipping lint (pip install 'ruff>=0.4')"
 fi
 
-# Differential harnesses first, by name, mirroring CI: batched,
-# columnar, and sharded execution must all match the legacy paths
-# (bit-identical; sharded is result-identical above one shard).
+# Differential harnesses and hot-path goldens first, by name, mirroring
+# CI: batched and sharded execution must match the legacy paths
+# (bit-identical; sharded is result-identical above one shard) and the
+# vectorised hot path must reproduce its pinned digests.
 run python -m pytest tests/test_batch_differential.py -q
-run python -m pytest tests/test_columnar_differential.py -q
+run python -m pytest tests/test_hot_path_golden.py -q
 run python -m pytest tests/test_shard_differential.py -q
 run python -m pytest tests/test_shard_chaos.py -q
 run python -m pytest tests/test_serve_differential.py -q
@@ -107,10 +108,5 @@ run python -m repro shard --strategy rvm --shards 1,8 \
 
 run python -m repro bench --operations 120 --seed 7 \
     --compare results/bench_baseline.json --tolerance 0.5
-
-# Wall-clock lane: real timings, columnar vs dict, gated by the
-# snapshot's embedded checks (no stored baseline — machine-dependent).
-run python -m repro bench --wall-clock --operations 60 --seed 7 \
-    --wall-repeats 3 --history '' --latest BENCH_wall_latest.json
 
 exit $status

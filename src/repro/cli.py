@@ -331,16 +331,6 @@ _FLAGS = {
         default=0.10,
         help="relative regression tolerance for --compare (default 0.10)",
     ),
-    "--wall-clock": dict(
-        action="store_true",
-        help="run the machine-dependent wall-clock lane (no --compare)",
-    ),
-    "--wall-repeats": dict(
-        type=_positive_int,
-        default=3,
-        metavar="N",
-        help="runs per (strategy, mode) cell; the median is kept (default 3)",
-    ),
 }
 
 _ARTIFACTS = "--manifest --trace-out --span-log"
@@ -383,10 +373,6 @@ def _check_cross_flags(args: argparse.Namespace) -> None:
                 "--trace-out/--span-log need exactly one "
                 f"{' and one '.join(swept)} (a trace is one run's timeline)"
             )
-    if given.get("wall_clock") and args.compare:
-        # Wall timings are machine-dependent; there is no meaningful
-        # stored baseline to diff against (the embedded checks gate).
-        raise ValueError("--compare is not supported with --wall-clock")
 
 
 def _write_text(path: str, text: str, what: str | None = None) -> None:
@@ -591,8 +577,7 @@ def _cmd_all(args: argparse.Namespace) -> int:
 
 
 @_command(
-    "--operations --seed --history --latest --compare --tolerance --json "
-    "--wall-clock --wall-repeats",
+    "--operations --seed --history --latest --compare --tolerance --json",
     operations=dict(default=120),
 )
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -610,11 +595,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             raise ValueError(f"cannot load baseline {args.compare!r}: {exc}") from None
 
     def execute():
-        suite = dict(operations=args.operations, seed=args.seed)
-        if args.wall_clock:
-            snapshot = ledger.run_wallclock_suite(repeats=args.wall_repeats, **suite)
-        else:
-            snapshot = ledger.run_bench_suite(**suite)
+        snapshot = ledger.run_bench_suite(operations=args.operations, seed=args.seed)
         problems = ledger.validate_snapshot(snapshot)
         if problems:  # pragma: no cover - guards suite bugs, not user input
             raise RuntimeError(f"snapshot failed validation: {problems}")

@@ -25,7 +25,7 @@ from repro.query.plan import Plan
 from repro.sim import CostClock
 from repro.storage.buffer import BufferPool
 from repro.storage.catalog import Catalog
-from repro.storage.columnar import ColumnBatch, columnar_enabled
+from repro.storage.columnar import ColumnBatch
 from repro.storage.matstore import MaterializedStore
 from repro.storage.tuples import Row, Schema
 
@@ -155,13 +155,8 @@ class CacheAndInvalidate(ProcedureStrategy):
         self, relation: str, inserts: list[Row], deletes: list[Row]
     ) -> None:
         schema = self.catalog.get(relation).schema
-        if columnar_enabled():
-            batch = ColumnBatch(schema, deletes + inserts)
-            broken = self._locks.conflicting_procedures_batch(relation, batch)
-        else:
-            names = schema.names()
-            changed = [dict(zip(names, row)) for row in deletes + inserts]
-            broken = self._locks.conflicting_procedures(relation, changed)
+        batch = ColumnBatch(schema, deletes + inserts)
+        broken = self._locks.conflicting_procedures_batch(relation, batch)
         tracer = self.clock.tracer
         for name in broken:
             if not self.is_valid(name):

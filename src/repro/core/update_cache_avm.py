@@ -29,7 +29,7 @@ from repro.rete.discrimination import ConstantTestIndex
 from repro.sim import CostClock
 from repro.storage.buffer import BufferPool
 from repro.storage.catalog import Catalog
-from repro.storage.columnar import ColumnBatch, columnar_enabled
+from repro.storage.columnar import ColumnBatch
 from repro.storage.matstore import MaterializedStore
 from repro.storage.tuples import Row, Schema
 
@@ -194,10 +194,7 @@ class UpdateCacheAVM(ProcedureStrategy):
         # Gather, per procedure, the screened delta rows (rule indexing
         # routes each changed value only to procedures whose restriction
         # interval contains it).
-        if columnar_enabled():
-            per_procedure = self._screen_batch(relation, schema, inserts, deletes)
-        else:
-            per_procedure = self._screen_rows(relation, schema, inserts, deletes)
+        per_procedure = self._screen_batch(relation, schema, inserts, deletes)
 
         tracer = self.clock.tracer
         for proc_name, (del_rows, ins_rows) in per_procedure.items():
@@ -209,33 +206,6 @@ class UpdateCacheAVM(ProcedureStrategy):
                 with tracer.span("delta.propagate", procedure=proc_name):
                     self._propagate(relation, proc_name, ins_rows, del_rows)
 
-    def _screen_rows(
-        self,
-        relation: str,
-        schema: Schema,
-        inserts: list[Row],
-        deletes: list[Row],
-    ) -> dict[str, tuple[list[Row], list[Row]]]:
-        """Scalar screening: probe the discrimination index per changed
-        tuple, screening each candidate at ``C1`` + ``C3``."""
-        names = schema.names()
-        per_procedure: dict[str, tuple[list[Row], list[Row]]] = {}
-        for rows, bucket in ((deletes, 0), (inserts, 1)):
-            for row in rows:
-                field_values = dict(zip(names, row))
-                for handle in self._screen_index.candidates(relation, field_values):
-                    proc_name, rel = handle  # type: ignore[misc]
-                    if rel != relation:
-                        continue
-                    procedure = self.procedures[proc_name]
-                    restriction = procedure.query.restriction_of(relation)
-                    self.clock.charge_cpu(1)  # the screen itself
-                    self.clock.charge_overhead(1)  # A/D set bookkeeping (C3)
-                    if restriction.matches(row, schema):
-                        entry = per_procedure.setdefault(proc_name, ([], []))
-                        entry[bucket].append(row)
-        return per_procedure
-
     def _screen_batch(
         self,
         relation: str,
@@ -245,9 +215,9 @@ class UpdateCacheAVM(ProcedureStrategy):
     ) -> dict[str, tuple[list[Row], list[Row]]]:
         """Columnar screening: one discrimination probe and one compiled
         restriction evaluation per candidate procedure, over the whole
-        delta batch. Charges the same ``C1``/``C3`` totals as the scalar
-        loop and builds ``per_procedure`` in the same order (first matching
-        delta row, then candidate rank — the scalar loop's interleaving).
+        delta batch. Charges ``C1`` + ``C3`` per (candidate, changed tuple)
+        and builds ``per_procedure`` in row-at-a-time order (first matching
+        delta row, then candidate rank).
         """
         changed = deletes + inserts
         batch = ColumnBatch(schema, changed)

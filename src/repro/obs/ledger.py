@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-import statistics
 import time
 from dataclasses import dataclass
 
@@ -33,11 +32,6 @@ from repro.obs.manifest import git_sha
 #: Bump when the pinned scenario set or metric keys change shape;
 #: snapshots of different suite versions refuse to compare.
 SUITE_VERSION = "6"
-
-#: Wall-clock suite version: a *different* lineage from the simulated
-#: suite, so a wall snapshot can never be compared against the
-#: bit-deterministic baseline (the values are machine-dependent).
-WALL_SUITE_VERSION = "3-wall"
 
 #: Default relative tolerance for the regression gate (deterministic
 #: metrics — the default is headroom for intentional small shifts, not
@@ -441,162 +435,6 @@ def run_bench_suite(operations: int = 120, seed: int = 7) -> dict:
         "git_sha": git_sha(),
         "operations": operations,
         "seed": seed,
-        "metrics": metrics,
-        "checks": checks,
-    }
-
-
-#: Wall-clock scenario: the fig05 sweep point (model 1, P = 0.5) at the
-#: paper's ``l = 100`` tuples per update — the heaviest maintenance load
-#: in the pinned suite, where the columnar hot path matters most.
-_WALL_STRATEGIES: tuple[str, ...] = (
-    "cache_invalidate",
-    "update_cache_avm",
-    "update_cache_rvm",
-)
-_WALL_TUPLES_PER_UPDATE = 100
-
-#: The wall gate's tolerance: columnar must be no slower than the dict
-#: path within this factor (2x absorbs runner noise; the observed
-#: speedup is far above 1x, so a trip means a real hot-path regression).
-WALL_NOT_SLOWER_FACTOR = 2.0
-
-#: Minimum maintenance speedup the columnar path must deliver over the
-#: dict path for Cache and Invalidate at ``l = 100`` (vectorized i-lock
-#: probes vs per-(lock, value) dict tests).
-WALL_MIN_SPEEDUP_X = 3.0
-
-
-def run_wallclock_suite(
-    operations: int = 60, seed: int = 7, repeats: int = 3
-) -> dict:
-    """Execute the wall-clock lane: real (perf_counter) maintenance and
-    access times of the fig05 scenario at ``l = 100``, columnar vs dict.
-
-    Unlike :func:`run_bench_suite`, the values here are machine- and
-    load-dependent — the snapshot carries :data:`WALL_SUITE_VERSION` so
-    it refuses to compare against the deterministic baseline. Each
-    (strategy, mode) cell is the median of ``repeats`` full runs; the
-    embedded checks assert the columnar path is not slower than the dict
-    path (within :data:`WALL_NOT_SLOWER_FACTOR`) and that Cache and
-    Invalidate sees at least :data:`WALL_MIN_SPEEDUP_X` on maintenance.
-    """
-    from repro.experiments.simcompare import SIM_SCALE_PARAMS
-    from repro.storage.columnar import columnar_mode
-    from repro.workload.runner import run_workload
-
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    params = SIM_SCALE_PARAMS.replace(
-        tuples_per_update=_WALL_TUPLES_PER_UPDATE
-    ).with_update_probability(0.5)
-
-    metrics: dict[str, dict] = {}
-    checks: dict[str, bool] = {}
-
-    def metric(key, value, unit, direction) -> None:
-        metrics[key] = {
-            "value": float(value), "unit": unit, "direction": direction
-        }
-
-    for strategy in _WALL_STRATEGIES:
-        medians: dict[str, tuple[float, float]] = {}
-        for mode_name, enabled in (("columnar", True), ("dict", False)):
-            update_samples: list[float] = []
-            access_samples: list[float] = []
-            for _ in range(repeats):
-                with columnar_mode(enabled):
-                    run = run_workload(
-                        params,
-                        strategy,
-                        num_operations=operations,
-                        seed=seed,
-                    )
-                update_samples.append(run.wall_ms_per_update)
-                access_samples.append(run.wall_ms_per_access)
-            medians[mode_name] = (
-                statistics.median(update_samples),
-                statistics.median(access_samples),
-            )
-            prefix = f"wallclock.fig05.{strategy}.{mode_name}"
-            metric(
-                f"{prefix}.wall_ms_per_update",
-                medians[mode_name][0],
-                "ms/update",
-                "lower",
-            )
-            metric(
-                f"{prefix}.wall_ms_per_access",
-                medians[mode_name][1],
-                "ms/access",
-                "lower",
-            )
-        columnar_ms, dict_ms = medians["columnar"][0], medians["dict"][0]
-        # Clamp the divisor so a (theoretical) zero timing yields a large
-        # finite speedup instead of JSON-hostile Infinity.
-        speedup = dict_ms / max(columnar_ms, 1e-9)
-        metric(
-            f"wallclock.fig05.{strategy}.update_speedup_x",
-            speedup,
-            "x",
-            "higher",
-        )
-        checks[f"wallclock.fig05.{strategy}.columnar_not_slower"] = (
-            columnar_ms <= WALL_NOT_SLOWER_FACTOR * dict_ms
-        )
-    checks["wallclock.fig05.cache_invalidate.columnar_3x"] = (
-        metrics["wallclock.fig05.cache_invalidate.update_speedup_x"]["value"]
-        >= WALL_MIN_SPEEDUP_X
-    )
-
-    # Serve lane: open-loop burst at the front-tier stack — real
-    # throughput and tail latency of the asyncio app (admission gate at
-    # MPL 16), alongside the simulated clock the cache never charges.
-    from repro.serve import run_serve_load
-
-    serve_params = SIM_SCALE_PARAMS.replace(
-        locality=_SERVE_LOCALITY
-    ).with_update_probability(_SERVE_UPDATE_P)
-    throughput_samples = []
-    p99_samples = []
-    hit_samples = []
-    for _ in range(repeats):
-        load = run_serve_load(
-            serve_params,
-            _SERVE_STRATEGY,
-            num_requests=max(120, operations * 2),
-            seed=seed,
-            capacity=_SERVE_CAPACITY,
-            max_inflight=16,
-        )
-        throughput_samples.append(load.throughput_rps)
-        p99_samples.append(load.latency_p99_ms)
-        hit_samples.append(load.hit_rate)
-    prefix = f"wallclock.serve.{_SERVE_STRATEGY}"
-    metric(
-        f"{prefix}.throughput_rps",
-        statistics.median(throughput_samples),
-        "req/s",
-        "higher",
-    )
-    metric(
-        f"{prefix}.p99_ms", statistics.median(p99_samples), "ms", "lower"
-    )
-    metric(
-        f"{prefix}.hit_rate", statistics.median(hit_samples), "frac", "higher"
-    )
-    checks[f"{prefix}.served"] = all(t > 0 for t in throughput_samples)
-
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "bench_snapshot",
-        "suite_version": WALL_SUITE_VERSION,
-        "created_unix": time.time(),
-        "created_iso": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "git_sha": git_sha(),
-        "operations": operations,
-        "seed": seed,
-        "repeats": repeats,
         "metrics": metrics,
         "checks": checks,
     }

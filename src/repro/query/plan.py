@@ -25,7 +25,7 @@ from repro.query.predicate import (
     TruePredicate,
     compiled_column_matcher,
 )
-from repro.storage.columnar import ColumnBatch, columnar_enabled
+from repro.storage.columnar import ColumnBatch
 from repro.storage.page import RID
 from repro.storage.tuples import Row, Schema
 
@@ -86,24 +86,15 @@ class SeqScanPlan(Plan):
         relation = ctx.catalog.get(self.relation)
         if ctx.lock_sink is not None:
             ctx.lock_sink.append(LockSpec(self.relation, None))
-        if columnar_enabled():
-            # Same page fetches and C1-per-row total as the scalar loop,
-            # charged per page batch instead of per tuple.
-            matcher = compiled_column_matcher(self.predicate, relation.schema)
-            out: list[Row] = []
-            for _page_no, _slots, batch in relation.heap.scan_batches():
-                n = len(batch)
-                if not n:
-                    continue
-                ctx.clock.charge_cpu(n)
-                out.extend(batch.select(matcher(batch)))
-            return out
-        matcher = self.predicate.bind(relation.schema)
-        out = []
-        for _rid, row in relation.scan():
-            ctx.clock.charge_cpu(1)
-            if matcher(row):
-                out.append(row)
+        # One page fetch per page and C1 per row, charged per page batch.
+        matcher = compiled_column_matcher(self.predicate, relation.schema)
+        out: list[Row] = []
+        for _page_no, _slots, batch in relation.heap.scan_batches():
+            n = len(batch)
+            if not n:
+                continue
+            ctx.clock.charge_cpu(n)
+            out.extend(batch.select(matcher(batch)))
         return out
 
     def output_schema(self, ctx: "ExecutionContext") -> Schema:
@@ -143,24 +134,14 @@ class BTreeScanPlan(Plan):
             )
         ]
         fetched = [row for _rid, row in relation.fetch_batched(rids)]
-        if columnar_enabled():
-            if fetched:
-                ctx.clock.charge_cpu(len(fetched))
-                if isinstance(self.residual, TruePredicate):
-                    return fetched
-                batch = ColumnBatch(relation.schema, fetched)
-                matcher = compiled_column_matcher(
-                    self.residual, relation.schema
-                )
-                return batch.select(matcher(batch))
-            return []
-        matcher = self.residual.bind(relation.schema)
-        out: list[Row] = []
-        for row in fetched:
-            ctx.clock.charge_cpu(1)
-            if matcher(row):
-                out.append(row)
-        return out
+        if fetched:
+            ctx.clock.charge_cpu(len(fetched))
+            if isinstance(self.residual, TruePredicate):
+                return fetched
+            batch = ColumnBatch(relation.schema, fetched)
+            matcher = compiled_column_matcher(self.residual, relation.schema)
+            return batch.select(matcher(batch))
+        return []
 
     def output_schema(self, ctx: "ExecutionContext") -> Schema:
         return ctx.catalog.get(self.relation).schema
@@ -216,26 +197,15 @@ class HashLookupJoinPlan(Plan):
 
         inner_rows = dict(inner.fetch_batched(sorted({rid for _o, rid in pairs})))
         combined_schema = self.output_schema(ctx)
-        if columnar_enabled():
-            if not pairs:
-                return []
-            combined_rows = [
-                outer_row + inner_rows[rid] for outer_row, rid in pairs
-            ]
-            ctx.clock.charge_cpu(len(combined_rows))
-            if isinstance(self.residual, TruePredicate):
-                return combined_rows
-            batch = ColumnBatch(combined_schema, combined_rows)
-            matcher = compiled_column_matcher(self.residual, combined_schema)
-            return batch.select(matcher(batch))
-        matcher = self.residual.bind(combined_schema)
-        out: list[Row] = []
-        for outer_row, rid in pairs:
-            combined = outer_row + inner_rows[rid]
-            ctx.clock.charge_cpu(1)
-            if matcher(combined):
-                out.append(combined)
-        return out
+        if not pairs:
+            return []
+        combined_rows = [outer_row + inner_rows[rid] for outer_row, rid in pairs]
+        ctx.clock.charge_cpu(len(combined_rows))
+        if isinstance(self.residual, TruePredicate):
+            return combined_rows
+        batch = ColumnBatch(combined_schema, combined_rows)
+        matcher = compiled_column_matcher(self.residual, combined_schema)
+        return batch.select(matcher(batch))
 
     def output_schema(self, ctx: "ExecutionContext") -> Schema:
         return self.outer.output_schema(ctx).concat(
@@ -276,30 +246,20 @@ class BuildHashJoinPlan(Plan):
         outer_rows = self.outer.execute(ctx)
         outer_schema = self.outer.output_schema(ctx)
         key_pos = outer_schema.index_of(self.outer_field)
-        if columnar_enabled():
-            combined_rows = [
-                outer_row + inner_row
-                for outer_row in outer_rows
-                for inner_row in table.get(outer_row[key_pos], ())
-            ]
-            if not combined_rows:
-                return []
-            ctx.clock.charge_cpu(len(combined_rows))
-            if isinstance(self.residual, TruePredicate):
-                return combined_rows
-            combined_schema = self.output_schema(ctx)
-            batch = ColumnBatch(combined_schema, combined_rows)
-            matcher = compiled_column_matcher(self.residual, combined_schema)
-            return batch.select(matcher(batch))
-        matcher = self.residual.bind(self.output_schema(ctx))
-        out: list[Row] = []
-        for outer_row in outer_rows:
-            for inner_row in table.get(outer_row[key_pos], ()):
-                combined = outer_row + inner_row
-                ctx.clock.charge_cpu(1)
-                if matcher(combined):
-                    out.append(combined)
-        return out
+        combined_rows = [
+            outer_row + inner_row
+            for outer_row in outer_rows
+            for inner_row in table.get(outer_row[key_pos], ())
+        ]
+        if not combined_rows:
+            return []
+        ctx.clock.charge_cpu(len(combined_rows))
+        if isinstance(self.residual, TruePredicate):
+            return combined_rows
+        combined_schema = self.output_schema(ctx)
+        batch = ColumnBatch(combined_schema, combined_rows)
+        matcher = compiled_column_matcher(self.residual, combined_schema)
+        return batch.select(matcher(batch))
 
     def output_schema(self, ctx: "ExecutionContext") -> Schema:
         return self.outer.output_schema(ctx).concat(
@@ -363,20 +323,12 @@ class FilterPlan(Plan):
     def execute(self, ctx: "ExecutionContext") -> list[Row]:
         schema = self.child.output_schema(ctx)
         child_rows = self.child.execute(ctx)
-        if columnar_enabled():
-            if not child_rows:
-                return []
-            ctx.clock.charge_cpu(len(child_rows))
-            batch = ColumnBatch(schema, child_rows)
-            matcher = compiled_column_matcher(self.predicate, schema)
-            return batch.select(matcher(batch))
-        matcher = self.predicate.bind(schema)
-        out: list[Row] = []
-        for row in child_rows:
-            ctx.clock.charge_cpu(1)
-            if matcher(row):
-                out.append(row)
-        return out
+        if not child_rows:
+            return []
+        ctx.clock.charge_cpu(len(child_rows))
+        batch = ColumnBatch(schema, child_rows)
+        matcher = compiled_column_matcher(self.predicate, schema)
+        return batch.select(matcher(batch))
 
     def output_schema(self, ctx: "ExecutionContext") -> Schema:
         return self.child.output_schema(ctx)

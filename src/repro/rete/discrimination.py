@@ -13,15 +13,14 @@ memory-resident structure and charged as free, like hash directories; the
 *screen* of the tuple against each matching condition's full predicate is
 what costs ``C1``, charged by the caller per candidate returned.
 
-Interval entries are kept in a sorted endpoint list with bisection, so
-lookups cost O(log n + matches) in real time (the simulated clock does not
-care, but the simulator has to actually run).
+Interval entries are kept sorted by lower bound; a lookup takes a whole
+column batch and tests each entry's interval against it in one vector pass.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import TYPE_CHECKING, Any, Hashable, Iterator
+from typing import TYPE_CHECKING, Any, Hashable
 
 import numpy as np
 
@@ -61,39 +60,20 @@ class ConstantTestIndex:
         self._unindexed.setdefault(relation, []).append(handle)
         self._size += 1
 
-    def candidates(
-        self, relation: str, field_values: dict[str, Any]
-    ) -> Iterator[Hashable]:
-        """Handles of all conditions a tuple with ``field_values`` may
-        satisfy. The caller screens each candidate at ``C1``."""
-        yield from self._unindexed.get(relation, ())
-        for (rel, field), entries in self._by_field.items():
-            if rel != relation or field not in field_values:
-                continue
-            value = field_values[field]
-            # Entries are sorted by interval lower bound; every entry whose
-            # lo <= value is a containment candidate, filtered by the full
-            # interval test.
-            idx = bisect.bisect_right(
-                entries, _SortKey(value), key=lambda e: _SortKey(e[0])
-            )
-            for _lo, interval, handle in entries[:idx]:
-                if interval.contains(value):
-                    yield handle
-
     def candidates_batch(
         self, relation: str, batch: "ColumnBatch"
     ) -> list[tuple[Hashable, np.ndarray]]:
-        """Columnar :meth:`candidates`: each registered condition tests its
-        whole column at once instead of being probed per changed tuple.
+        """The conditions each row of ``batch`` may satisfy: every
+        registered condition tests its whole column at once. The caller
+        screens each (condition, row) candidate at ``C1``.
 
         Returns ``(handle, row_indices)`` pairs — ``row_indices`` are the
         ascending positions in ``batch`` the condition may match. Pairs come
-        in the same static order :meth:`candidates` yields handles for any
-        single row (catch-alls first, then indexed entries), so
-        ``(row_indices[0], pair position)`` reproduces the per-row
-        interleaving of the scalar loop. Conditions matching no row are
-        dropped (the scalar path never yields them either).
+        in one static order (catch-alls first, then indexed entries field
+        by field in registration order, each field's by lower bound), so
+        ``(row_indices[0], pair position)`` is the order a row-at-a-time
+        walk would first reach each condition. Conditions matching no row
+        are dropped.
         """
         n = len(batch)
         out: list[tuple[Hashable, np.ndarray]] = []

@@ -42,7 +42,7 @@ from repro.rete.tokens import Token, deltas_to_tokens
 from repro.sim import CostClock
 from repro.storage.buffer import BufferPool
 from repro.storage.catalog import Catalog
-from repro.storage.columnar import ColumnBatch, columnar_enabled
+from repro.storage.columnar import ColumnBatch
 from repro.storage.tuples import Row, Schema
 
 
@@ -233,34 +233,20 @@ class ReteNetwork:
         tokens = deltas_to_tokens(inserts, deletes)
         schema = self.catalog.get(relation).schema
         routed = 0
-        firing: list[tuple[TConstNode, list[Token]]]
-        if columnar_enabled():
-            # One discrimination probe per registered condition over the
-            # whole token wave; nodes fire in the order the scalar loop
-            # first routes a token to them (token index, candidate rank).
-            fired: list[tuple[int, int, TConstNode, list[Token]]] = []
-            if tokens:
-                batch = ColumnBatch(schema, [token.row for token in tokens])
-                for rank, (node, idx) in enumerate(
-                    self._discrimination.candidates_batch(relation, batch)
-                ):
-                    assert isinstance(node, TConstNode)
-                    routed += len(idx)
-                    fired.append(
-                        (int(idx[0]), rank, node, [tokens[i] for i in idx])
-                    )
-            fired.sort(key=lambda entry: (entry[0], entry[1]))
-            firing = [(node, toks) for _first, _rank, node, toks in fired]
-        else:
-            batches: dict[int, tuple[TConstNode, list[Token]]] = {}
-            for token in tokens:
-                field_values = dict(zip(schema.names(), token.row))
-                for node in self._discrimination.candidates(relation, field_values):
-                    assert isinstance(node, TConstNode)
-                    entry = batches.setdefault(id(node), (node, []))
-                    entry[1].append(token)
-                    routed += 1
-            firing = list(batches.values())
+        # One discrimination probe per registered condition over the whole
+        # token wave; nodes fire in the order a token-at-a-time walk would
+        # first route a token to them (token index, candidate rank).
+        fired: list[tuple[int, int, TConstNode, list[Token]]] = []
+        if tokens:
+            batch = ColumnBatch(schema, [token.row for token in tokens])
+            for rank, (node, idx) in enumerate(
+                self._discrimination.candidates_batch(relation, batch)
+            ):
+                assert isinstance(node, TConstNode)
+                routed += len(idx)
+                fired.append((int(idx[0]), rank, node, [tokens[i] for i in idx]))
+        fired.sort(key=lambda entry: (entry[0], entry[1]))
+        firing = [(node, toks) for _first, _rank, node, toks in fired]
         tracer = self.clock.tracer
         if tracer is not None and tokens:
             tracer.event("rete.tokens", len(tokens))

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Hashable, Optional
 from repro.query.predicate import Predicate, compiled_column_matcher
 from repro.rete.tokens import Token
 from repro.sim import CostClock
-from repro.storage.columnar import ColumnBatch, columnar_enabled
+from repro.storage.columnar import ColumnBatch
 from repro.storage.matstore import MaterializedStore
 from repro.storage.tuples import Schema
 
@@ -70,25 +70,19 @@ class TConstNode(ReteNode):
         self.relation = relation
         self.predicate = predicate
         self.schema = schema
-        self._matcher = predicate.bind(schema)
 
     def receive(
         self, tokens: list[Token], clock: CostClock, source: Optional[ReteNode]
     ) -> None:
-        if tokens and columnar_enabled():
-            # One C1 per token, charged in aggregate; the compiled column
-            # matcher screens the whole wave in one vector pass.
-            clock.charge_cpu(len(tokens))
-            matcher = compiled_column_matcher(self.predicate, self.schema)
-            batch = ColumnBatch(self.schema, [token.row for token in tokens])
-            mask = matcher(batch)
-            passing = [token for token, ok in zip(tokens, mask) if ok]
-        else:
-            passing = []
-            for token in tokens:
-                clock.charge_cpu(1)
-                if self._matcher(token.row):
-                    passing.append(token)
+        if not tokens:
+            return
+        # One C1 per token, charged in aggregate; the compiled column
+        # matcher screens the whole wave in one vector pass.
+        clock.charge_cpu(len(tokens))
+        matcher = compiled_column_matcher(self.predicate, self.schema)
+        batch = ColumnBatch(self.schema, [token.row for token in tokens])
+        mask = matcher(batch)
+        passing = [token for token, ok in zip(tokens, mask) if ok]
         self._forward(passing, clock)
 
 

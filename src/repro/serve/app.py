@@ -11,7 +11,10 @@ surface:
   through the engine (charging the simulated clock), hits are free.
 - ``POST /updates`` — one seeded update transaction against a base
   relation, flowing through the engine's maintenance *and* the cache's
-  invalidation index via :attr:`ProcedureManager.update_listener`.
+  invalidation index via :attr:`ProcedureManager.update_listener`. The
+  body is an optional JSON object ``{"relation": "R1", "tuples": 10}``
+  (both keys optional, ``tuples`` an integer >= 1); any other body is a
+  **400**.
 
 Backpressure is MPL-style admission control reusing
 :class:`repro.concurrent.admission.AdmissionGate`: a request that cannot
@@ -229,7 +232,11 @@ class ProcedureApp:
     async def _post_update(
         self, params: dict[str, str], body: Optional[dict]
     ) -> Response:
-        body = body or {}
+        # Malformed input is the client's fault (400), never an engine
+        # fault (503): check the body's shape before anything reads it.
+        body = {} if body is None else body
+        if not isinstance(body, dict):
+            return Response(400, {"error": "body must be a JSON object"})
         relation = body.get("relation", "R1")
         if relation not in _UPDATE_RELATIONS:
             return Response(
@@ -239,9 +246,10 @@ class ProcedureApp:
                     f"choose from {list(_UPDATE_RELATIONS)}"
                 },
             )
-        tuples = int(body.get("tuples", 10))
-        if tuples < 1:
-            return Response(400, {"error": "tuples must be >= 1"})
+        tuples = body.get("tuples", 10)
+        # type() rather than isinstance(): JSON true/false are not counts.
+        if type(tuples) is not int or tuples < 1:
+            return Response(400, {"error": "tuples must be an integer >= 1"})
         before_invalidations = self.cache.invalidations
         perform_update(
             self.db, self.manager, self._rng, tuples, relation=relation

@@ -12,12 +12,7 @@ of being performed against a physical disk.
 """
 
 from repro.storage.tuples import Field, FieldKind, Row, Schema
-from repro.storage.columnar import (
-    ColumnBatch,
-    columnar_enabled,
-    columnar_mode,
-    set_columnar_enabled,
-)
+from repro.storage.columnar import ColumnBatch
 from repro.storage.page import Page, RID
 from repro.storage.disk import DiskManager
 from repro.storage.buffer import BufferPool
@@ -33,9 +28,6 @@ __all__ = [
     "Row",
     "Schema",
     "ColumnBatch",
-    "columnar_enabled",
-    "columnar_mode",
-    "set_columnar_enabled",
     "Page",
     "RID",
     "DiskManager",

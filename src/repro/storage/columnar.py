@@ -1,33 +1,27 @@
 """Struct-of-arrays column batches over row tuples.
 
-The simulator's hot paths — scans, update screening, Rete routing, i-lock
-probes — historically walked Python tuples one at a time. A
-:class:`ColumnBatch` transposes a list of rows into per-field numpy arrays
+Every inner loop that charges the cost model's counts — scans, update
+screening, Rete routing, i-lock probes, define-time α-loads — screens a
+:class:`ColumnBatch`: a list of rows transposed into per-field numpy arrays,
 so predicates compile once per (predicate, schema) pair and evaluate over a
-whole batch with vectorized comparisons.
+whole batch with vectorized comparisons. There is no row-at-a-time twin.
 
-Two invariants make the columnar path safe to flip on and off:
+Two invariants keep the simulated output exact:
 
 - **Rows are retained, never reconstructed.** A batch keeps the original
   row tuples alongside the column arrays, and every selection returns those
   exact objects. Nothing downstream ever sees a numpy scalar where a Python
-  ``int``/``str`` used to be (``np.int64`` is not a Python ``int``, so
+  ``int``/``str`` belongs (``np.int64`` is not a Python ``int``, so
   reconstructed rows would fail :meth:`Schema.make_row` and hash/compare
   differently in stores).
 - **Charging is count-based.** The simulated clock charges ``C1 * n`` for a
   batch of ``n`` screens instead of ``n`` separate ``C1`` charges; with the
-  paper's integer-valued cost constants the sums are bit-identical, which
-  the columnar differential tests pin.
-
-The toggle below gates every vectorized code path; the dict path remains
-the reference implementation (and the wall-clock bench's baseline mode).
-Set ``REPRO_COLUMNAR=0`` in the environment to start with it disabled.
+  paper's integer-valued cost constants the sums are bit-identical to
+  per-tuple charging, which ``tests/test_hot_path_golden.py`` pins.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -120,39 +114,6 @@ class ColumnBatch:
 def int64_bounds() -> tuple[int, int]:
     """The representable range of an INT column before object fallback."""
     return _INT64_MIN, _INT64_MAX
-
-
-# -- the columnar toggle ------------------------------------------------------
-
-_ENABLED = os.environ.get("REPRO_COLUMNAR", "1").strip().lower() not in (
-    "0",
-    "false",
-    "no",
-    "off",
-)
-
-
-def columnar_enabled() -> bool:
-    """Whether vectorized hot paths are active (default: yes)."""
-    return _ENABLED
-
-
-def set_columnar_enabled(enabled: bool) -> bool:
-    """Flip the columnar toggle; returns the previous setting."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def columnar_mode(enabled: bool) -> Iterator[None]:
-    """Run a block with the toggle forced to ``enabled`` (then restore)."""
-    previous = set_columnar_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_columnar_enabled(previous)
 
 
 def vector_compare(column: np.ndarray, op: str, value: Any) -> np.ndarray:

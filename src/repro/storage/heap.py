@@ -13,7 +13,6 @@ import heapq
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from repro.storage.buffer import BufferPool
-from repro.storage.columnar import columnar_enabled
 from repro.storage.page import Page, RID
 from repro.storage.tuples import Row, Schema
 
@@ -205,11 +204,7 @@ class HeapFile:
     def matching_uncharged(self, predicate: "Predicate") -> list[Row]:
         """The rows satisfying ``predicate``, in page/slot order, without
         I/O accounting — the one define-time scan (Rete α-loads, AVM's
-        initial values). One vector screen per page; the row-at-a-time
-        scan is the reference under ``columnar_mode(False)``."""
-        if not columnar_enabled():
-            matches = predicate.bind(self.schema)
-            return [row for _rid, row in self.scan_uncharged() if matches(row)]
+        initial values). One vector screen per page."""
         # Imported here: repro.query is built on repro.storage.
         from repro.query.predicate import compiled_column_matcher
 

@@ -36,11 +36,6 @@ USAGE_ERRORS = [
     ("chaos-bad-mpl", ["chaos", "--mpl", "0"]),
     ("bench-bad-operations", ["bench", "--operations", "0"]),
     ("bench-bad-tolerance", ["bench", "--tolerance", "-0.1"]),
-    ("bench-bad-repeats", ["bench", "--wall-repeats", "0"]),
-    (
-        "bench-compare-with-wallclock",
-        ["bench", "--wall-clock", "--compare", "x.json"],
-    ),
     ("monitor-bad-strategy", ["monitor", "--strategy", "bogus"]),
     ("monitor-bad-operations", ["monitor", "--operations", "0"]),
     ("monitor-bad-window", ["monitor", "--window-ms", "0"]),
@@ -242,7 +237,8 @@ STRATEGIES = (
 # {command: {dest: (default, type-name, choices)}} as ``build_parser()``
 # declared it before the flags moved into one vocabulary (type-name:
 # ``flag`` for a store_true, else the ``type=`` callable's ``__name__``,
-# ``None`` for a raw string).
+# ``None`` for a raw string), less ``bench --wall-clock``/``--wall-repeats``,
+# deleted with the wall-clock lane.
 PARENT_SURFACE = {
     "list": {},
     "run": {
@@ -402,8 +398,6 @@ PARENT_SURFACE = {
         "compare": (None, None, None),
         "tolerance": (0.1, "float", None),
         "json": (False, "flag", None),
-        "wall_clock": (False, "flag", None),
-        "wall_repeats": (3, "int", None),
     },
 }
 

@@ -10,9 +10,6 @@ from repro.storage import (
     Field,
     HeapFile,
     Schema,
-    columnar_enabled,
-    columnar_mode,
-    set_columnar_enabled,
 )
 from repro.storage.columnar import int64_bounds, vector_compare
 from repro.storage.matstore import MaterializedStore
@@ -83,29 +80,6 @@ class TestVectorCompare:
         mask = vector_compare(column, "<", "b")
         assert mask.dtype == np.bool_
         assert list(mask) == [True, False, False]
-
-
-class TestToggle:
-    def test_set_and_restore(self):
-        original = columnar_enabled()
-        try:
-            assert set_columnar_enabled(False) == original
-            assert not columnar_enabled()
-        finally:
-            set_columnar_enabled(original)
-
-    def test_context_manager_restores_on_exit(self):
-        original = columnar_enabled()
-        with columnar_mode(not original):
-            assert columnar_enabled() is (not original)
-        assert columnar_enabled() is original
-
-    def test_context_manager_restores_on_error(self):
-        original = columnar_enabled()
-        with pytest.raises(RuntimeError):
-            with columnar_mode(not original):
-                raise RuntimeError("boom")
-        assert columnar_enabled() is original
 
 
 class TestPageColumnCache:

@@ -6,6 +6,7 @@ from repro.core.delta import DeltaJoinError, DeltaJoiner
 from repro.query.analysis import JoinEdge, SPJQuery
 from repro.recovery import RecordKind, WriteAheadLog
 from repro.sim import CostClock
+from repro.storage import ColumnBatch, Field, FieldKind, Schema
 
 
 class TestDeltaJoinerEdgeCases:
@@ -90,6 +91,18 @@ class TestMakeStrategyGuards:
             )
 
 
+def _candidates(index, relation, field_values):
+    """The handles ``index`` routes one tuple with ``field_values`` to."""
+    schema = Schema(
+        [
+            Field(name, FieldKind.STR if isinstance(value, str) else FieldKind.INT)
+            for name, value in field_values.items()
+        ]
+    )
+    batch = ColumnBatch(schema, [tuple(field_values.values())])
+    return {handle for handle, _rows in index.candidates_batch(relation, batch)}
+
+
 class TestDiscriminationEdgeCases:
     def test_string_interval_candidates(self):
         """t-const constants over string domains (the paper's 'job =
@@ -100,9 +113,9 @@ class TestDiscriminationEdgeCases:
         index = ConstantTestIndex()
         index.add_interval("EMP", KeyInterval.point("job", "Clerk"), "h1")
         index.add_interval("EMP", KeyInterval.point("job", "Programmer"), "h2")
-        assert set(index.candidates("EMP", {"job": "Programmer"})) == {"h2"}
-        assert set(index.candidates("EMP", {"job": "Clerk"})) == {"h1"}
-        assert set(index.candidates("EMP", {"job": "Manager"})) == set()
+        assert _candidates(index, "EMP", {"job": "Programmer"}) == {"h2"}
+        assert _candidates(index, "EMP", {"job": "Clerk"}) == {"h1"}
+        assert _candidates(index, "EMP", {"job": "Manager"}) == set()
 
     def test_missing_field_values_yield_no_interval_candidates(self):
         from repro.query.predicate import KeyInterval
@@ -110,4 +123,4 @@ class TestDiscriminationEdgeCases:
 
         index = ConstantTestIndex()
         index.add_interval("R1", KeyInterval("sel", 0, 10), "h")
-        assert set(index.candidates("R1", {"other": 5})) == set()
+        assert _candidates(index, "R1", {"other": 5}) == set()

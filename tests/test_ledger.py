@@ -8,14 +8,12 @@ import pytest
 from repro.obs.flight import SCHEMA_VERSION
 from repro.obs.ledger import (
     SUITE_VERSION,
-    WALL_SUITE_VERSION,
     append_history,
     compare_snapshots,
     load_snapshot,
     regressions,
     render_delta_table,
     run_bench_suite,
-    run_wallclock_suite,
     validate_snapshot,
     write_latest,
 )
@@ -226,69 +224,3 @@ class TestCompare:
     def test_negative_tolerance_rejected(self, bench_snapshot):
         with pytest.raises(ValueError):
             compare_snapshots(bench_snapshot, bench_snapshot, tolerance=-0.1)
-
-
-# One wall-clock suite execution shared by the class below. Kept tiny
-# (one repeat, few operations): these tests assert shape and gating
-# plumbing, not timing quality — the CI lane runs the real thing.
-_WALL_SNAPSHOT = None
-
-
-def wall_snapshot():
-    global _WALL_SNAPSHOT
-    if _WALL_SNAPSHOT is None:
-        _WALL_SNAPSHOT = run_wallclock_suite(
-            operations=20, seed=7, repeats=1
-        )
-    return _WALL_SNAPSHOT
-
-
-class TestWallClockSuite:
-    def test_snapshot_shape(self):
-        snap = wall_snapshot()
-        assert validate_snapshot(snap) == []
-        assert snap["suite_version"] == WALL_SUITE_VERSION
-        assert snap["schema_version"] == SCHEMA_VERSION
-        assert snap["repeats"] == 1
-        for entry in snap["metrics"].values():
-            assert entry["direction"] in ("lower", "higher")
-
-    def test_metrics_cover_both_modes_and_speedup(self):
-        metrics = wall_snapshot()["metrics"]
-        for strategy in (
-            "cache_invalidate",
-            "update_cache_avm",
-            "update_cache_rvm",
-        ):
-            for mode in ("columnar", "dict"):
-                prefix = f"wallclock.fig05.{strategy}.{mode}"
-                assert f"{prefix}.wall_ms_per_update" in metrics
-                assert f"{prefix}.wall_ms_per_access" in metrics
-            key = f"wallclock.fig05.{strategy}.update_speedup_x"
-            assert metrics[key]["direction"] == "higher"
-            assert metrics[key]["unit"] == "x"
-
-    def test_gating_checks_present(self):
-        checks = wall_snapshot()["checks"]
-        assert "wallclock.fig05.cache_invalidate.columnar_3x" in checks
-        for strategy in (
-            "cache_invalidate",
-            "update_cache_avm",
-            "update_cache_rvm",
-        ):
-            key = f"wallclock.fig05.{strategy}.columnar_not_slower"
-            assert key in checks
-
-    def test_snapshot_is_json_serializable(self):
-        # Wall timings can degenerate to zero on a coarse clock; the
-        # speedup clamp must keep every value a finite JSON number.
-        text = json.dumps(wall_snapshot(), allow_nan=False)
-        assert "wallclock.fig05" in text
-
-    def test_refuses_compare_against_deterministic_baseline(self, bench_snapshot):
-        with pytest.raises(ValueError):
-            compare_snapshots(bench_snapshot, wall_snapshot())
-
-    def test_repeats_must_be_positive(self):
-        with pytest.raises(ValueError):
-            run_wallclock_suite(operations=5, seed=7, repeats=0)

@@ -191,6 +191,38 @@ class TestOneAssembly:
         }
 
 
+class TestOneHotPath:
+    """Every inner loop that charges C1/C2/C3 has one implementation, the
+    vectorised one: the runtime toggle that selected a dict-walking twin
+    and the wall-clock lane that timed the two against each other must
+    not grow back. (``benchmarks/wall/`` is outside the guard.)"""
+
+    FORBIDDEN = (
+        "columnar_enabled",
+        "columnar_mode",
+        "REPRO_COLUMNAR",
+        "run_wallclock_suite",
+    )
+
+    def _guarded_files(self):
+        for top in ("src", "tests", "scripts", ".github"):
+            for path in (ROOT / top).rglob("*"):
+                if path.is_file() and "__pycache__" not in path.parts:
+                    yield path
+        yield from (ROOT / "benchmarks").glob("*.py")
+
+    def test_no_second_hot_path(self):
+        this_file = pathlib.Path(__file__).resolve()
+        found = {
+            (path.relative_to(ROOT).as_posix(), name)
+            for path in self._guarded_files()
+            if path.resolve() != this_file
+            for name in self.FORBIDDEN
+            if name in path.read_text(errors="replace")
+        }
+        assert found == set()
+
+
 class TestOneFlagVocabulary:
     """``repro.cli`` declares each flag once (``_FLAGS``), builds every
     subparser from that in one ``add_argument`` loop, and times every

@@ -10,6 +10,19 @@ from repro.query.predicate import And, Comparison, KeyInterval
 from repro.rete import ConstantTestIndex, ReteNetwork
 from repro.rete.network import ReteBuildError
 from repro.rete.tokens import Tag, Token, deltas_to_tokens
+from repro.storage import ColumnBatch, Field, FieldKind, Schema
+
+
+def _candidates(index, relation, field_values):
+    """The handles ``index`` routes one tuple with ``field_values`` to."""
+    schema = Schema(
+        [
+            Field(name, FieldKind.STR if isinstance(value, str) else FieldKind.INT)
+            for name, value in field_values.items()
+        ]
+    )
+    batch = ColumnBatch(schema, [tuple(field_values.values())])
+    return {handle for handle, _rows in index.candidates_batch(relation, batch)}
 
 
 class TestTokens:
@@ -35,26 +48,26 @@ class TestConstantTestIndex:
         index = ConstantTestIndex()
         index.add_interval("R1", KeyInterval("sel", 10, 20, True, False), "h1")
         index.add_interval("R1", KeyInterval("sel", 15, 30, True, False), "h2")
-        assert set(index.candidates("R1", {"sel": 12})) == {"h1"}
-        assert set(index.candidates("R1", {"sel": 17})) == {"h1", "h2"}
-        assert set(index.candidates("R1", {"sel": 25})) == {"h2"}
-        assert set(index.candidates("R1", {"sel": 99})) == set()
+        assert _candidates(index, "R1", {"sel": 12}) == {"h1"}
+        assert _candidates(index, "R1", {"sel": 17}) == {"h1", "h2"}
+        assert _candidates(index, "R1", {"sel": 25}) == {"h2"}
+        assert _candidates(index, "R1", {"sel": 99}) == set()
 
     def test_relation_scoping(self):
         index = ConstantTestIndex()
         index.add_interval("R1", KeyInterval("sel", 0, 100), "h1")
-        assert set(index.candidates("R2", {"sel": 5})) == set()
+        assert _candidates(index, "R2", {"sel": 5}) == set()
 
     def test_catch_all(self):
         index = ConstantTestIndex()
         index.add_catch_all("R3", "h")
-        assert set(index.candidates("R3", {"d": 1})) == {"h"}
+        assert _candidates(index, "R3", {"d": 1}) == {"h"}
 
     def test_unbounded_lower(self):
         index = ConstantTestIndex()
         index.add_interval("R1", KeyInterval("sel", None, 10), "h")
-        assert set(index.candidates("R1", {"sel": -100})) == {"h"}
-        assert set(index.candidates("R1", {"sel": 11})) == set()
+        assert _candidates(index, "R1", {"sel": -100}) == {"h"}
+        assert _candidates(index, "R1", {"sel": 11}) == set()
 
     def test_size(self):
         index = ConstantTestIndex()

@@ -4,7 +4,7 @@
 ``Field.accepts``; the pool's one-frame ``fetch``/``mark_dirty`` against
 ``DiskManager.read_page``/``write_page``; ``Relation.update_clustered``'s
 validate-before-mutate contract (what the heap's private entry points
-trust); the columnar define-time scan against the row-at-a-time one.
+trust); the define-time scan against a row-at-a-time screened scan.
 (``ceiling_entry`` vs ``range_scan`` lives in ``test_btree_property.py``.)
 """
 
@@ -17,9 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.query import Interval, RelationRef, Select
-from repro.query.analysis import normalize_spj
-from repro.rete import ReteNetwork
+from repro.query.predicate import And, Comparison, Interval, TruePredicate
 from repro.sim import CostClock, CostParams
 from repro.storage import (
     BufferPool,
@@ -28,7 +26,6 @@ from repro.storage import (
     Field,
     FieldKind,
     Schema,
-    columnar_mode,
 )
 from repro.storage.disk import UnknownFileError
 from repro.storage.tuples import SchemaError
@@ -234,36 +231,38 @@ def test_update_clustered_rejects_before_mutating(catalog, bad_row):
     assert rel.heap.buffer.disk.clock.snapshot() == clock_before
 
 
-# -- (e) the define-time scan: columnar == row at a time -----------------
+# -- (e) the define-time scan: one vector screen per page -----------------
 
 
-def _alpha_store_image(columnar: bool) -> list:
-    clock = CostClock()
-    buffer = BufferPool(DiskManager(clock))
-    catalog = Catalog(buffer)
+def _heap_with_holes_and_an_empty_page():
+    catalog = Catalog(BufferPool(DiskManager(CostClock())))
     r1 = catalog.create_relation(
         "R1", Schema([Field("id1"), Field("sel"), Field("a")], tuple_bytes=100)
     )
     rng = random.Random(11)
     rids = [r1.insert((i, rng.randrange(1000), rng.randrange(60))) for i in range(200)]
-    r1.create_btree_index("sel", fanout=16)
     for rid in rids:
         # Page 2 ends up empty; the others get holes.
         if rid.page_no == 2 or rng.random() < 0.3:
             r1.delete(rid)
     assert r1.heap._page_uncharged(2).is_empty and r1.num_pages == 5
-    network = ReteNetwork(catalog, buffer, clock, result_tuple_bytes=100)
-    query = normalize_spj(
-        Select(RelationRef("R1"), Interval("sel", 100, 700)), catalog
-    )
-    with columnar_mode(columnar):
-        store = network.add_procedure("p", query).store
-    assert store.num_rows > 40 and store.num_pages > 1
-    return [
-        list(buffer.disk.peek_page(store.name, page_no).rows())
-        for page_no in range(store.num_pages)
-    ]
+    return r1.heap
 
 
-def test_alpha_load_is_the_same_store_either_way():
-    assert _alpha_store_image(True) == _alpha_store_image(False)
+@pytest.mark.parametrize(
+    "predicate",
+    [
+        Interval("sel", 100, 700),
+        And(Interval("sel", 100, 700), Comparison("a", "!=", 7)),
+        Comparison("sel", ">", 2000),
+        TruePredicate(),
+    ],
+    ids=["interval", "interval-and-not-equal", "no-match", "true"],
+)
+def test_matching_uncharged_is_a_screened_row_scan(predicate):
+    heap = _heap_with_holes_and_an_empty_page()
+    clock_before = heap.buffer.disk.clock.snapshot()
+    matches = predicate.bind(heap.schema)
+    expected = [row for _rid, row in heap.scan_uncharged() if matches(row)]
+    assert heap.matching_uncharged(predicate) == expected
+    assert heap.buffer.disk.clock.snapshot() == clock_before

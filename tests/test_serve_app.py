@@ -108,6 +108,26 @@ class TestRoutes:
         assert ok.body["relation"] == "R1"
         assert ok.body["invalidations"] >= 0
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"tuples": "x"},
+            {"tuples": 2.9},
+            {"tuples": True},
+            {"tuples": None},
+            ["relation", "R1"],
+            [],
+            "R1",
+        ],
+        ids=["str", "float", "bool", "null", "list", "empty-list", "string"],
+    )
+    def test_malformed_update_is_a_client_error(self, body):
+        app = _app()
+        response = _call(app, "POST", "/updates", body)
+        assert response.status == 400
+        assert app.failed_503 == 0
+        assert app.manager.num_updates == 0
+
     def test_update_feeds_cache_invalidation(self):
         app = _app()
         # Fill the cache, then update every relation: something must
