@@ -7,6 +7,7 @@ the paper's ``TOT_Recompute = C_ProcessQuery``.
 
 from __future__ import annotations
 
+from repro.core.batch import DeltaBatch
 from repro.core.procedure import DatabaseProcedure
 from repro.core.strategy import ProcedureStrategy, StrategyName
 from repro.query.executor import ExecutionContext
@@ -50,7 +51,5 @@ class AlwaysRecompute(ProcedureStrategy):
         with tracer.span(None, procedure=name):
             return self._plans[name].execute(ctx)
 
-    def on_update(
-        self, relation: str, inserts: list[Row], deletes: list[Row]
-    ) -> None:
+    def on_update(self, batch: DeltaBatch) -> None:
         """No per-update work: results are never materialised."""

@@ -1,12 +1,14 @@
-"""Batched update propagation: the ``DeltaBatch`` carried from the
-workload layer into the strategies.
+"""The ``DeltaBatch``: the one unit of update maintenance.
 
 A :class:`DeltaBatch` groups consecutive update *transactions* against one
-relation. Base-relation changes are applied eagerly, transaction by
-transaction (heap costs and rid bookkeeping are strategy-independent and
-order-sensitive); only the *maintenance* reaction — i-lock probing, delta
-joins, Rete token propagation — is deferred and executed once per batch via
-:meth:`repro.core.strategy.ProcedureStrategy.on_update_batch`.
+relation. Every maintenance call hands a strategy a batch through
+:meth:`repro.core.strategy.ProcedureStrategy.on_update`: the manager's
+``update``/``insert``/``delete`` hand it a batch of one transaction, and the
+batched pipeline (``batch_size``) one of up to ``batch_size``. Base-relation
+changes are applied eagerly, transaction by transaction (heap costs and rid
+bookkeeping are strategy-independent and order-sensitive); only the
+*maintenance* reaction — i-lock probing, delta joins, Rete token
+propagation — runs once per batch.
 
 Equivalence argument (why batching cannot change results):
 
@@ -20,14 +22,13 @@ Equivalence argument (why batching cannot change results):
   deltas produces the same multiset contents as propagating each
   transaction's deltas in order.
 
-Net deltas are only formed for multi-transaction batches: a single
-transaction replays through the legacy one-at-a-time path so that
-``batch_size=1`` stays bit-identical to the unbatched pipeline.
+A batch of one transaction is its own net (:meth:`DeltaBatch.netted`), so
+the per-transaction path pays for no netting and no copy.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.storage.tuples import Row
 
@@ -90,48 +91,39 @@ class DeltaBatch:
             len(ins) + len(dels) for ins, dels in self.transactions
         )
 
-    def merged(self) -> tuple[list[Row], list[Row]]:
-        """All inserts and deletes concatenated, un-netted."""
-        inserts: list[Row] = []
-        deletes: list[Row] = []
-        for txn_inserts, txn_deletes in self.transactions:
-            inserts.extend(txn_inserts)
-            deletes.extend(txn_deletes)
-        return inserts, deletes
-
     def netted(self) -> tuple[list[Row], list[Row]]:
-        """The batch's net ``(inserts, deletes)`` (see :func:`net_deltas`)."""
-        return net_deltas(self.transactions)
+        """The batch's net ``(inserts, deletes)`` (see :func:`net_deltas`).
 
-    def changed_dicts(self, field_names: list[str]) -> list[dict[str, Any]]:
-        """Every old/new tuple value as a field dict, un-netted, in the
-        order the transactions produced them (the paper's ``2l`` values per
-        transaction). Netting here would be wrong: an intermediate value
-        that existed between two transactions still broke any i-lock whose
-        range covered it."""
-        out: list[dict[str, Any]] = []
-        for txn_inserts, txn_deletes in self.transactions:
-            for row in txn_deletes:
-                out.append(dict(zip(field_names, row)))
-            for row in txn_inserts:
-                out.append(dict(zip(field_names, row)))
-        return out
+        A lone transaction is returned as it is: :func:`net_deltas` takes
+        each transaction's deletes before its inserts, so nothing inside
+        one transaction can cancel. Callers must not mutate the lists."""
+        if len(self.transactions) == 1:
+            return self.transactions[0]
+        return net_deltas(self.transactions)
 
     def sorted_value_runs(
         self, field_names: list[str]
     ) -> "SortedValueRuns":
-        """The batch's changed values as memoized per-field sorted runs
+        """The batch's changed rows as memoized per-field sorted runs
         (see :class:`repro.locks.ilocks.SortedValueRuns`). However many
         consumers probe the batch — one i-lock table per shard, the
-        shard router — the O(n log n) build happens once. Callers must
-        not add transactions after the first probe (the runner flushes a
-        batch exactly once, after its last transaction)."""
+        shard router — each field sorts once. Callers must not add
+        transactions after the first probe (the runner flushes a batch
+        exactly once, after its last transaction).
+
+        The rows are every old and new tuple, *un-netted* (the paper's
+        ``2l`` values per transaction): an intermediate value that existed
+        between two transactions still broke any i-lock covering it."""
         key = tuple(field_names)
         runs = self._runs_cache.get(key)
         if runs is None:
             from repro.locks.ilocks import SortedValueRuns
 
-            runs = SortedValueRuns(self.changed_dicts(field_names))
+            rows: list[Row] = []
+            for inserts, deletes in self.transactions:
+                rows += deletes
+                rows += inserts
+            runs = SortedValueRuns(field_names, rows)
             self._runs_cache[key] = runs
         return runs
 

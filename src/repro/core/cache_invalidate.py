@@ -25,7 +25,6 @@ from repro.query.plan import Plan
 from repro.sim import CostClock
 from repro.storage.buffer import BufferPool
 from repro.storage.catalog import Catalog
-from repro.storage.columnar import ColumnBatch
 from repro.storage.matstore import MaterializedStore
 from repro.storage.tuples import Row, Schema
 
@@ -139,70 +138,52 @@ class CacheAndInvalidate(ProcedureStrategy):
 
     # -- maintenance ----------------------------------------------------------------
 
-    def on_update(
-        self, relation: str, inserts: list[Row], deletes: list[Row]
-    ) -> None:
+    def on_update(self, batch: DeltaBatch) -> None:
         """Break i-locks: every procedure whose locked ranges cover an old
-        or new tuple value is marked invalid (``C_inval`` each)."""
-        tracer = self.clock.tracer
-        if tracer is None:
-            self._break_locks(relation, inserts, deletes)
-            return
-        with tracer.span("ilock.check"):
-            self._break_locks(relation, inserts, deletes)
-
-    def _break_locks(
-        self, relation: str, inserts: list[Row], deletes: list[Row]
-    ) -> None:
-        schema = self.catalog.get(relation).schema
-        batch = ColumnBatch(schema, deletes + inserts)
-        broken = self._locks.conflicting_procedures_batch(relation, batch)
-        tracer = self.clock.tracer
-        for name in broken:
-            if not self.is_valid(name):
-                continue  # already invalid; nothing to record
-            self.invalidation_count += 1
-            if tracer is not None:
-                tracer.event("ilock.invalidation")
-            if self.scheme is not None:
-                self.scheme.mark_invalid(name)
-            else:
-                self._valid[name] = False
-                if self.c_inval:
-                    self.clock.charge_fixed(self.c_inval)
-
-    def on_update_batch(self, batch: DeltaBatch) -> None:
-        """Group invalidation: sweep the batch's merged (un-netted) write
-        footprint over the i-lock table once instead of probing it per
-        transaction.
+        or new tuple value of the batch is marked invalid (``C_inval``
+        each).
 
         Validity is monotone between accesses (nothing revalidates inside
-        a batch), so the procedures newly invalidated by the sweep are
-        exactly those the per-transaction probes would have flagged, at
-        the same per-procedure recording cost; durable schemes may
-        additionally group-commit the records (one log force per batch).
+        a batch), so the procedures one probe of the batch's un-netted
+        values newly invalidates are exactly those per-transaction probes
+        would flag, at the same per-procedure recording cost.
         """
-        if batch.num_transactions <= 1:
-            super().on_update_batch(batch)  # bit-identical legacy path
-            return
         tracer = self.clock.tracer
         if tracer is None:
-            self._break_locks_grouped(batch)
+            self._break_locks(batch)
             return
         with tracer.span("ilock.check"):
-            self._break_locks_grouped(batch)
+            self._break_locks(batch)
 
-    def _break_locks_grouped(self, batch: DeltaBatch) -> None:
+    def _break_locks(self, batch: DeltaBatch) -> None:
         names = self.catalog.get(batch.relation).schema.names()
         broken = self._locks.conflicting_procedures_swept(
             batch.relation, runs=batch.sorted_value_runs(names)
         )
+        # Sorted, so the record order (WAL included) never follows the
+        # string hashing of a set.
         newly_invalid = sorted(
             name for name in broken if self.is_valid(name)
         )
+        tracer = self.clock.tracer
+        if batch.num_transactions == 1:
+            # The paper charges per transaction: one record (one forced
+            # log write under WAL) per invalidation.
+            for name in newly_invalid:
+                self.invalidation_count += 1
+                if tracer is not None:
+                    tracer.event("ilock.invalidation")
+                if self.scheme is not None:
+                    self.scheme.mark_invalid(name)
+                else:
+                    self._valid[name] = False
+                    if self.c_inval:
+                        self.clock.charge_fixed(self.c_inval)
+            return
+        # A multi-transaction batch group-commits its records (one log
+        # force per batch under WAL).
         if not newly_invalid:
             return
-        tracer = self.clock.tracer
         self.invalidation_count += len(newly_invalid)
         if tracer is not None:
             for _ in newly_invalid:

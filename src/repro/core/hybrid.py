@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Callable, Mapping, Union
 
 from repro.core.always_recompute import AlwaysRecompute
+from repro.core.batch import DeltaBatch
 from repro.core.cache_invalidate import CacheAndInvalidate
 from repro.core.procedure import DatabaseProcedure
 from repro.core.strategy import ProcedureStrategy, StrategyName
@@ -129,19 +130,11 @@ class HybridStrategy(ProcedureStrategy):
             tracer.event(f"hybrid.access.{route.value}")
         return self._subs[route].access(name)
 
-    def on_update(
-        self, relation: str, inserts: list[Row], deletes: list[Row]
-    ) -> None:
-        """Broadcast to every instantiated sub-strategy; each maintains
-        only its own procedures, so costs never double."""
+    def on_update(self, batch: DeltaBatch) -> None:
+        """Broadcast the batch to every instantiated sub-strategy; each
+        maintains only its own procedures, so costs never double."""
         for sub in self._subs.values():
-            sub.on_update(relation, inserts, deletes)
-
-    def on_update_batch(self, batch) -> None:
-        """Broadcast the whole batch: each sub-strategy applies its own
-        batched algorithm (CI sweeps, RVM nets) over its own procedures."""
-        for sub in self._subs.values():
-            sub.on_update_batch(batch)
+            sub.on_update(batch)
 
     def repair_procedure(self, name: str, full_rows: list[Row]) -> None:
         self._subs[self._routes[name]].repair_procedure(name, full_rows)

@@ -22,6 +22,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
+from repro.core.batch import DeltaBatch
 from repro.core.procedure import DatabaseProcedure
 from repro.core.strategy import ProcedureStrategy
 from repro.query.expr import Expression
@@ -29,7 +30,6 @@ from repro.storage.page import RID
 from repro.storage.tuples import Row
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.batch import DeltaBatch
     from repro.storage.catalog import Relation
 
 
@@ -109,15 +109,6 @@ class ProcedureManager:
     def procedure_names(self) -> list[str]:
         return sorted(self.strategy.procedures)
 
-    def _base_update_span(self):
-        """Phase span tagging base-relation update I/O (``base.update``) —
-        the cost the paper's per-access metric excludes — or a no-op when
-        the clock is unobserved."""
-        tracer = self.clock.tracer
-        if tracer is None:
-            return nullcontext()
-        return tracer.span("base.update")
-
     def _apply_changes(
         self,
         relation: "Relation",
@@ -172,29 +163,29 @@ class ProcedureManager:
         RID so callers can track tuples across moves.
         """
         relation = self.catalog.get(relation_name)
-        before_base = self.clock.snapshot()
-        with self._base_update_span():
-            inserts, deletes = self._apply_changes(
-                relation, changes, cluster_field
-            )
-        base_cost = self.clock.elapsed_since(before_base)
+        return self._transaction(
+            relation_name,
+            lambda: self._apply_changes(relation, changes, cluster_field),
+        )
 
-        before_maint = self.clock.snapshot()
-        wall_start = time.perf_counter()
-        self.strategy.on_update(relation_name, inserts, deletes)
-        self.wall_maintenance_s += time.perf_counter() - wall_start
-        maint_cost = self.clock.elapsed_since(before_maint)
+    def insert(self, relation_name: str, rows: list[Row]) -> UpdateResult:
+        """Apply one insert transaction and let the strategy maintain its
+        structures (Rete: ``+`` tokens; AVM: insert deltas; CI: broken
+        i-locks)."""
+        relation = self.catalog.get(relation_name)
 
-        self.base_update_cost_ms += base_cost
-        self.maintenance_cost_ms += maint_cost
-        self.num_updates += 1
-        if self.update_listener is not None:
-            self.update_listener(relation_name, inserts, deletes)
-        return UpdateResult(
-            relation=relation_name,
-            tuples_modified=len(changes),
-            base_cost_ms=base_cost,
-            maintenance_cost_ms=maint_cost,
+        def apply() -> tuple[list[Row], list[Row]]:
+            self.last_rids = [relation.insert(row) for row in rows]
+            return list(rows), []
+
+        return self._transaction(relation_name, apply)
+
+    def delete(self, relation_name: str, rids: list[RID]) -> UpdateResult:
+        """Apply one delete transaction with strategy maintenance."""
+        relation = self.catalog.get(relation_name)
+        return self._transaction(
+            relation_name,
+            lambda: ([], [relation.delete(rid) for rid in rids]),
         )
 
     def update_deferred(
@@ -208,81 +199,72 @@ class ProcedureManager:
         row lists for the caller to accumulate into a
         :class:`repro.core.batch.DeltaBatch` and later hand to
         :meth:`maintain_batch`. Base accounting (cost bucket,
-        ``num_updates``, :attr:`last_rids`) is identical to
-        :meth:`update`."""
+        ``num_updates``, :attr:`last_rids`) and the listener run at once,
+        as :meth:`update` runs them after its maintenance."""
         relation = self.catalog.get(relation_name)
-        before_base = self.clock.snapshot()
-        with self._base_update_span():
-            inserts, deletes = self._apply_changes(
-                relation, changes, cluster_field
-            )
-        self.base_update_cost_ms += self.clock.elapsed_since(before_base)
+        inserts, deletes, base_cost = self._base_update(
+            lambda: self._apply_changes(relation, changes, cluster_field)
+        )
+        self.base_update_cost_ms += base_cost
         self.num_updates += 1
         if self.update_listener is not None:
             self.update_listener(relation_name, inserts, deletes)
         return inserts, deletes
 
-    def maintain_batch(self, batch: "DeltaBatch") -> float:
+    def maintain_batch(self, batch: DeltaBatch) -> float:
         """Run the strategy's deferred maintenance for ``batch`` (whose
         base changes :meth:`update_deferred` already applied); returns the
         simulated ms charged, accrued to the maintenance bucket."""
-        before = self.clock.snapshot()
-        wall_start = time.perf_counter()
-        self.strategy.on_update_batch(batch)
-        self.wall_maintenance_s += time.perf_counter() - wall_start
-        maint_cost = self.clock.elapsed_since(before)
+        maint_cost = self._maintain(batch)
         self.maintenance_cost_ms += maint_cost
         return maint_cost
 
-    def insert(self, relation_name: str, rows: list[Row]) -> UpdateResult:
-        """Apply one insert transaction and let the strategy maintain its
-        structures (Rete: ``+`` tokens; AVM: insert deltas; CI: broken
-        i-locks)."""
-        relation = self.catalog.get(relation_name)
-        before_base = self.clock.snapshot()
-        with self._base_update_span():
-            self.last_rids = [relation.insert(row) for row in rows]
-        base_cost = self.clock.elapsed_since(before_base)
-        before_maint = self.clock.snapshot()
-        wall_start = time.perf_counter()
-        self.strategy.on_update(relation_name, list(rows), [])
-        self.wall_maintenance_s += time.perf_counter() - wall_start
-        maint_cost = self.clock.elapsed_since(before_maint)
+    def _transaction(
+        self,
+        relation_name: str,
+        apply: Callable[[], tuple[list[Row], list[Row]]],
+    ) -> UpdateResult:
+        """Base changes, then maintenance of them as a one-transaction
+        batch. The cost buckets, ``num_updates`` and the listener accrue
+        only once maintenance has returned: an update aborted in either
+        half accrues nothing here (``SupervisedManager`` counts it)."""
+        inserts, deletes, base_cost = self._base_update(apply)
+        batch = DeltaBatch(relation_name)
+        batch.add_transaction(inserts, deletes)
+        maint_cost = self._maintain(batch)
         self.base_update_cost_ms += base_cost
         self.maintenance_cost_ms += maint_cost
         self.num_updates += 1
         if self.update_listener is not None:
-            self.update_listener(relation_name, list(rows), [])
+            self.update_listener(relation_name, inserts, deletes)
         return UpdateResult(
             relation=relation_name,
-            tuples_modified=len(rows),
+            tuples_modified=max(len(inserts), len(deletes)),
             base_cost_ms=base_cost,
             maintenance_cost_ms=maint_cost,
         )
 
-    def delete(self, relation_name: str, rids: list[RID]) -> UpdateResult:
-        """Apply one delete transaction with strategy maintenance."""
-        relation = self.catalog.get(relation_name)
-        before_base = self.clock.snapshot()
-        with self._base_update_span():
-            deleted = [relation.delete(rid) for rid in rids]
-        base_cost = self.clock.elapsed_since(before_base)
-        before_maint = self.clock.snapshot()
+    def _base_update(
+        self, apply: Callable[[], tuple[list[Row], list[Row]]]
+    ) -> tuple[list[Row], list[Row], float]:
+        """Run ``apply`` — change the base relation, return the
+        transaction's ``(inserts, deletes)`` — under the ``base.update``
+        phase span (the cost the paper's per-access metric excludes);
+        returns them with the simulated ms charged."""
+        before = self.clock.snapshot()
+        tracer = self.clock.tracer
+        with nullcontext() if tracer is None else tracer.span("base.update"):
+            inserts, deletes = apply()
+        return inserts, deletes, self.clock.elapsed_since(before)
+
+    def _maintain(self, batch: DeltaBatch) -> float:
+        """The strategy's maintenance of ``batch``; returns the simulated
+        ms charged (accrued by the caller) and accrues the wall time."""
+        before = self.clock.snapshot()
         wall_start = time.perf_counter()
-        self.strategy.on_update(relation_name, [], deleted)
+        self.strategy.on_update(batch)
         self.wall_maintenance_s += time.perf_counter() - wall_start
-        maint_cost = self.clock.elapsed_since(before_maint)
-        self.base_update_cost_ms += base_cost
-        self.maintenance_cost_ms += maint_cost
-        self.num_updates += 1
-        if self.update_listener is not None:
-            self.update_listener(relation_name, [], deleted)
-        return UpdateResult(
-            relation=relation_name,
-            tuples_modified=len(deleted),
-            base_cost_ms=base_cost,
-            maintenance_cost_ms=maint_cost,
-        )
+        return self.clock.elapsed_since(before)
 
     # -- the paper's metric ----------------------------------------------------
 

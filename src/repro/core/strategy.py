@@ -2,9 +2,11 @@
 
 A strategy owns everything procedure-specific: compiled plans, caches,
 maintenance structures. The manager calls :meth:`define` once per procedure,
-:meth:`access` per read, and :meth:`on_update` after each base-relation
-update transaction has been applied to the heap (so strategies observe the
-post-update database plus the explicit old/new row lists).
+:meth:`access` per read, and :meth:`on_update` with a
+:class:`repro.core.batch.DeltaBatch` once the batch's transactions have been
+applied to the heap (so strategies observe the post-update database plus the
+explicit old/new row lists). A single update transaction is a batch of one;
+there is no other maintenance entry point.
 
 All costs a strategy incurs flow through the shared clock; the manager
 attributes them by snapshotting around these calls.
@@ -71,27 +73,12 @@ class ProcedureStrategy(abc.ABC):
         """Return the procedure's current value, charging the clock."""
 
     @abc.abstractmethod
-    def on_update(
-        self, relation: str, inserts: list[Row], deletes: list[Row]
-    ) -> None:
-        """React to an applied update transaction (new rows ``inserts``
-        replaced old rows ``deletes`` in place), charging the clock for any
-        maintenance work."""
-
-    def on_update_batch(self, batch: "DeltaBatch") -> None:
-        """React to a group of applied update transactions against one
-        relation (see :class:`repro.core.batch.DeltaBatch`).
-
-        The default replays the batch transaction by transaction through
-        :meth:`on_update` — cost- and state-identical to the unbatched
-        pipeline at every batch size. Strategies override this to exploit
-        the group: merged i-lock sweeps, whole-delta-set algebra, or
-        set-at-a-time token propagation. Overrides must preserve the
-        contract that a single-transaction batch is bit-identical to one
-        :meth:`on_update` call.
-        """
-        for inserts, deletes in batch.transactions:
-            self.on_update(batch.relation, inserts, deletes)
+    def on_update(self, batch: "DeltaBatch") -> None:
+        """React to a batch of applied update transactions against one
+        relation (in each, new rows ``inserts`` replaced old rows
+        ``deletes`` in place), charging the clock for any maintenance
+        work. A one-transaction batch must charge exactly what the paper
+        charges one update transaction."""
 
     # -- fault recovery (see repro.faults.supervisor) ----------------------
 

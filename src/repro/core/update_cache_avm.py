@@ -187,9 +187,18 @@ class UpdateCacheAVM(ProcedureStrategy):
 
     # -- maintenance --------------------------------------------------------
 
-    def on_update(
-        self, relation: str, inserts: list[Row], deletes: list[Row]
-    ) -> None:
+    def on_update(self, batch: DeltaBatch) -> None:
+        """Evaluate the delta expressions once over the batch's *net*
+        delta set: one screening pass, one delta join per procedure, one
+        store refresh touching each affected page once.
+
+        Valid by linearity of the join over multiset sums — the other
+        member relations are static for the batch's duration (a batch
+        never spans relations and a flush precedes every access) — and
+        because screening is a per-row filter, which commutes with
+        netting."""
+        relation = batch.relation
+        inserts, deletes = batch.netted()
         schema = self.catalog.get(relation).schema
         # Gather, per procedure, the screened delta rows (rule indexing
         # routes each changed value only to procedures whose restriction
@@ -270,24 +279,6 @@ class UpdateCacheAVM(ProcedureStrategy):
             )
             for observer in observers:
                 observer(ins_combined, del_combined)
-
-    def on_update_batch(self, batch: DeltaBatch) -> None:
-        """Evaluate the delta expressions once over the batch's *net*
-        delta set: one screening pass, one delta join per procedure, one
-        store refresh touching each affected page once.
-
-        Valid by linearity of the join over multiset sums — the other
-        member relations are static for the batch's duration (a batch
-        never spans relations and a flush precedes every access) — and
-        because screening is a per-row filter, which commutes with
-        netting. Single-transaction batches replay the legacy path
-        unchanged (bit-identity at ``batch_size=1``).
-        """
-        if batch.num_transactions <= 1:
-            super().on_update_batch(batch)
-            return
-        inserts, deletes = batch.netted()
-        self.on_update(batch.relation, inserts, deletes)
 
     def add_delta_observer(self, name: str, observer) -> None:
         """Subscribe ``observer(inserts, deletes)`` to ``name``'s

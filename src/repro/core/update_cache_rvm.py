@@ -61,22 +61,13 @@ class UpdateCacheRVM(ProcedureStrategy):
                 rows = self.network.read_result(name)
         return procedure.project_rows(rows, self.catalog)
 
-    def on_update(
-        self, relation: str, inserts: list[Row], deletes: list[Row]
-    ) -> None:
-        self.network.apply_update(relation, inserts, deletes)
-
-    def on_update_batch(self, batch: DeltaBatch) -> None:
-        """Propagate the batch as one set-at-a-time token wave: the net
-        delta set is tokenised once, each t-const node screens its routed
-        tokens in one activation, and each α/β memory applies its whole
-        token batch with page-deduplicated I/O — per-node, not per-tuple,
-        work (correct by the same linearity argument as AVM; single
-        transactions replay the legacy path for bit-identity)."""
-        if batch.num_transactions <= 1:
-            super().on_update_batch(batch)
-            return
-        self.network.apply_update_batch(batch.relation, batch.transactions)
+    def on_update(self, batch: DeltaBatch) -> None:
+        """Propagate the batch's net delta set as one token wave: each
+        t-const node screens its routed tokens in one activation, and
+        each α/β memory applies its whole token batch with
+        page-deduplicated I/O — per-node, not per-tuple, work (correct by
+        the same linearity argument as AVM)."""
+        self.network.apply_update(batch.relation, *batch.netted())
 
     # -- fault recovery -----------------------------------------------------
 

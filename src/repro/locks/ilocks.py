@@ -12,52 +12,37 @@ that could possibly apply. The table itself is a memory-resident structure
 (the paper's recommended battery-backed-RAM / logged design); the cost of
 *recording* an invalidation is the strategy's ``C_inval`` parameter, charged
 by the caller, not here.
+
+There is one probe, :meth:`ILockTable.conflicting_procedures_swept`: each
+armed interval bisects into the write's :class:`SortedValueRuns`. The
+per-value :meth:`ILockTable.conflicting_procedures` stays as the reference
+the property tests compare it against.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import TYPE_CHECKING, Any, Iterable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.query.plan import LockSpec
+from repro.storage.tuples import Row
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.query.predicate import KeyInterval
     from repro.storage.columnar import ColumnBatch
 
 
-def _interval_hits_sorted(
-    sorted_values: np.ndarray, interval: "KeyInterval"
-) -> bool:
-    """Whether any value in an ascending array falls inside ``interval``.
-
-    Two bisects bracket the interval; a non-empty bracket is a hit. Bound
-    sides follow the inclusivity flags, so the answer matches per-value
-    :meth:`KeyInterval.contains` probes for totally ordered values.
-    """
-    lo_idx = 0
-    if interval.lo is not None:
-        side = "left" if interval.lo_inclusive else "right"
-        lo_idx = int(np.searchsorted(sorted_values, interval.lo, side=side))
-    hi_idx = len(sorted_values)
-    if interval.hi is not None:
-        side = "right" if interval.hi_inclusive else "left"
-        hi_idx = int(np.searchsorted(sorted_values, interval.hi, side=side))
-    return hi_idx > lo_idx
-
-
 class SortedValueRuns:
-    """Per-field ascending value runs over a set of changed tuples.
+    """Per-field ascending value runs over a set of changed rows.
 
-    The swept i-lock probe and the shard router both answer the same
-    question — *does any changed value fall inside this interval?* — by
-    sorting each field's values once and bisecting per interval. Building
-    the runs is the only O(n log n) part, so it is factored out here and
-    memoized per :class:`repro.core.batch.DeltaBatch`: a sharded engine
-    probing one i-lock table per shard (plus the router itself) builds
-    the runs exactly once per batch instead of once per probe.
+    The i-lock probe and the shard router both answer one question —
+    *does any changed value fall inside this interval?* — by bisecting
+    into a field's sorted values. The runs read the rows by field
+    position and sort a field the first time an interval on it is
+    probed, so a probe pays only for the fields its locks name. A
+    :class:`repro.core.batch.DeltaBatch` memoizes one instance, so
+    however many consumers probe a batch — one i-lock table per shard
+    under the sharded engine, plus the router — each field sorts once.
 
     Construction and probing are memory-resident bookkeeping, like the
     i-lock table itself — neither charges the simulated clock.
@@ -67,31 +52,44 @@ class SortedValueRuns:
     #: however many shards probe a batch, the runs build once).
     builds = 0
 
-    def __init__(self, changed_values: Iterable[dict[str, Any]]) -> None:
+    def __init__(
+        self, field_names: Sequence[str], rows: Sequence[Row]
+    ) -> None:
         SortedValueRuns.builds += 1
-        by_field: dict[str, list[Any]] = {}
-        count = 0
-        for values in changed_values:
-            count += 1
-            for fld, value in values.items():
-                if value is not None:
-                    by_field.setdefault(fld, []).append(value)
-        for vals in by_field.values():
-            vals.sort()
-        self._by_field = by_field
-        #: Number of changed-tuple dicts the runs were built from. Zero
-        #: means "no write happened": even whole-relation locks survive.
-        self.num_changed = count
+        self._positions = {name: pos for pos, name in enumerate(field_names)}
+        self._rows = rows
+        self._by_field: dict[str, list[Any]] = {}
+        #: Number of changed rows the runs were built from. Zero means
+        #: "no write happened": even whole-relation locks survive.
+        self.num_changed = len(rows)
+
+    @classmethod
+    def from_dicts(
+        cls, changed_values: Iterable[dict[str, Any]]
+    ) -> "SortedValueRuns":
+        """Runs over field-value dicts; a field a dict lacks reads as
+        ``None``, which no interval contains."""
+        dicts = list(changed_values)
+        names = sorted({fld for values in dicts for fld in values})
+        return cls(names, [tuple(map(values.get, names)) for values in dicts])
 
     def values_for(self, field: str) -> list[Any]:
-        """The ascending values seen for ``field`` (empty if none)."""
-        return self._by_field.get(field, [])
+        """The ascending non-``None`` values of ``field`` (empty if the
+        rows have no such field), sorted on first request."""
+        vals = self._by_field.get(field)
+        if vals is None:
+            pos = self._positions.get(field)
+            vals = [] if pos is None else sorted(
+                row[pos] for row in self._rows if row[pos] is not None
+            )
+            self._by_field[field] = vals
+        return vals
 
     def interval_hits(self, interval: "KeyInterval") -> bool:
         """Whether any changed value of ``interval.field`` lies inside
         ``interval`` — the same answer the per-value :meth:`KeyInterval.
         contains` probes give, via one bisect plus a bounded scan."""
-        vals = self._by_field.get(interval.field)
+        vals = self.values_for(interval.field)
         if not vals:
             return False
         start = (
@@ -173,87 +171,28 @@ class ILockTable:
     def conflicting_procedures_batch(
         self, relation: str, batch: "ColumnBatch"
     ) -> set[str]:
-        """Columnar :meth:`conflicting_procedures`: probe each lock interval
-        with two array bisects over the batch's sorted columns.
-
-        The changed tuples arrive as one :class:`ColumnBatch` (old and new
-        rows together); each inspected field is sorted once and every lock
-        interval binary-searches it, instead of building a field-value dict
-        per row and testing every (lock, value) pair. Flags exactly the
-        procedures the per-value probes flag.
-        """
-        relation_map = self._by_relation.get(relation)
-        if not relation_map or len(batch) == 0:
-            return set()
-        schema = batch.schema
-        sorted_columns: dict[str, Optional[np.ndarray]] = {}
-
-        def sorted_column(field: str) -> Optional[np.ndarray]:
-            if field in sorted_columns:
-                return sorted_columns[field]
-            column: Optional[np.ndarray]
-            if not schema.has_field(field):
-                column = None
-            else:
-                column = batch.column(field)
-                if column.dtype == object:
-                    # The scalar path skips None values; drop them so the
-                    # sort stays well defined.
-                    keep = np.fromiter(
-                        (value is not None for value in column),
-                        dtype=bool,
-                        count=len(column),
-                    )
-                    column = column[keep]
-                column = np.sort(column)
-            sorted_columns[field] = column
-            return column
-
-        broken: set[str] = set()
-        for procedure, specs in relation_map.items():
-            for spec in specs:
-                interval = spec.interval
-                if interval is None:
-                    broken.add(procedure)
-                    break
-                values = sorted_column(interval.field)
-                if values is None or not len(values):
-                    continue
-                if _interval_hits_sorted(values, interval):
-                    broken.add(procedure)
-                    break
-        return broken
+        """:meth:`conflicting_procedures_swept` over a :class:`ColumnBatch`'s
+        rows. Kept only because ``benchmarks/wall/trace.py`` traces this
+        name and ``benchmarks/wall/test_wall_oracle.py`` patches it."""
+        return self.conflicting_procedures_swept(
+            relation, SortedValueRuns(batch.schema.names(), batch.rows)
+        )
 
     def conflicting_procedures_swept(
-        self,
-        relation: str,
-        changed_values: Iterable[dict[str, Any]] | None = None,
-        runs: SortedValueRuns | None = None,
+        self, relation: str, runs: SortedValueRuns
     ) -> set[str]:
-        """Group-invalidation variant of :meth:`conflicting_procedures`.
+        """Procedures whose locks are broken by the writes in ``runs``.
 
-        Instead of testing every ``(lock, value)`` pair, the changed values
-        are sorted once per field and each armed interval binary-searches
-        for any value inside its range — one sweep over the merged write
-        footprint of a whole :class:`repro.core.batch.DeltaBatch`. Flags
-        exactly the same procedure set as the naive per-value probes (the
-        property test in ``tests/test_ilocks_property.py`` pins this).
-
-        Pass ``runs`` (pre-built :class:`SortedValueRuns`, usually the
-        batch's memoized ones) instead of ``changed_values`` to amortize
-        the sort across many probes — one table per shard under the
-        sharded engine; exactly one of the two must be given.
+        Instead of testing every ``(lock, value)`` pair, each armed
+        interval bisects into the sorted values of its field — one sweep
+        over the whole write footprint of a
+        :class:`repro.core.batch.DeltaBatch`, whose memoized runs every
+        per-shard table probes. Flags exactly the same procedure set as
+        the per-value :meth:`conflicting_procedures` (the property test in
+        ``tests/test_ilocks_property.py`` pins this).
         """
-        if (changed_values is None) == (runs is None):
-            raise ValueError(
-                "pass exactly one of changed_values or runs"
-            )
         relation_map = self._by_relation.get(relation)
-        if not relation_map:
-            return set()
-        if runs is None:
-            runs = SortedValueRuns(changed_values)
-        if not runs.num_changed:
+        if not relation_map or not runs.num_changed:
             return set()
         broken: set[str] = set()
         for procedure, specs in relation_map.items():

@@ -259,25 +259,11 @@ class ReteNetwork:
         relation: str,
         transactions: list[tuple[list[Row], list[Row]]],
     ) -> None:
-        """Propagate a multi-transaction batch as one token wave.
-
-        The transactions' deltas are multiset-netted (inserts cancelled by
-        later in-batch deletes vanish before tokenisation) and pushed
-        through the network in a single :meth:`apply_update` pass, so each
-        t-const activates once over its routed token set and each memory's
-        page I/O is deduplicated across the whole batch — the per-node
-        (not per-tuple) activation the batched pipeline is built around.
-        """
+        """:meth:`apply_update` over the multiset net of ``transactions``.
+        Kept only because ``benchmarks/wall/trace.py`` traces this name."""
         from repro.core.batch import net_deltas
 
-        inserts, deletes = net_deltas(transactions)
-        tracer = self.clock.tracer
-        if tracer is not None:
-            tracer.event("rete.batch.transactions", len(transactions))
-            tracer.event(
-                "rete.batch.net_tuples", len(inserts) + len(deletes)
-            )
-        self.apply_update(relation, inserts, deletes)
+        self.apply_update(relation, *net_deltas(transactions))
 
     def result_memory(self, name: str) -> MemoryNode:
         """The memory node holding procedure ``name``'s result."""

@@ -17,15 +17,16 @@ supervisor all work unchanged:
   :class:`~repro.shard.router.ShardRouter` (same ``C_f`` interval →
   same home, so RVM's α-sharing survives partitioning);
 - ``access`` delegates to the home shard;
-- ``on_update`` routes the delta through the interval index to the
+- ``on_update`` routes the batch through the interval index to the
   (usually one) affected shard for partition-relation writes, and
   through the :class:`SharedBetaTier` for join-side relations — the
-  model-2 fan-out path;
+  model-2 fan-out path — probing the batch's memoized sorted runs, which
+  each routed shard's i-lock probe then reuses;
 - recovery hooks delegate per home shard / fan across shards.
 
 **Bit-identity at S=1.** The single shard reuses the database's own
 buffer pool and its inner strategy is built by the same factory as the
-unsharded engine; routing is uncharged dict work that is skipped
+unsharded engine; routing is uncharged bookkeeping that is skipped
 entirely on the one-shard fast path. Access logs, the simulated clock,
 the cost pie, and CI validity state are therefore bit-identical to the
 unsharded engine (``tests/test_shard_differential.py``). At ``S > 1``
@@ -136,18 +137,11 @@ class SharedBetaTier:
         self.fanned_updates = 0
         self.fanned_shard_visits = 0
 
-    def _record(self, targets: tuple[int, ...]) -> tuple[int, ...]:
+    def route_runs(self, relation, runs) -> tuple[int, ...]:
+        targets = self.router.route_runs(relation, runs)
         self.fanned_updates += 1
         self.fanned_shard_visits += len(targets)
         return targets
-
-    def route_values(self, relation, changed_values) -> tuple[int, ...]:
-        return self._record(
-            self.router.route_values(relation, changed_values)
-        )
-
-    def route_runs(self, relation, runs) -> tuple[int, ...]:
-        return self._record(self.router.route_runs(relation, runs))
 
     def stats(self) -> dict[str, float]:
         updates = self.fanned_updates
@@ -327,45 +321,22 @@ class ShardedStrategy(ProcedureStrategy):
 
     # -- maintenance -------------------------------------------------------
 
-    def _route(
-        self, relation: str, inserts: list[Row], deletes: list[Row]
-    ) -> tuple[int, ...]:
-        names = self.catalog.get(relation).schema.names()
-        changed = [dict(zip(names, row)) for row in deletes + inserts]
-        if relation == self.router.partition_relation:
-            return self.router.route_values(relation, changed)
-        return self.beta.route_values(relation, changed)
-
-    def on_update(
-        self, relation: str, inserts: list[Row], deletes: list[Row]
-    ) -> None:
+    def on_update(self, batch: "DeltaBatch") -> None:
         if len(self.shards) == 1:
             # One-shard fast path: no routing work at all, so the inner
             # strategy sees byte-for-byte the unsharded call sequence.
-            self.shards[0].strategy.on_update(relation, inserts, deletes)
+            self.shards[0].strategy.on_update(batch)
             return
-        for shard_id in self._route(relation, inserts, deletes):
-            self._deliver(
-                shard_id,
-                relation,
-                lambda engine: engine.on_update(relation, inserts, deletes),
-            )
-
-    def on_update_batch(self, batch: "DeltaBatch") -> None:
-        if len(self.shards) == 1:
-            self.shards[0].strategy.on_update_batch(batch)
-            return
-        names = self.catalog.get(batch.relation).schema.names()
+        relation = batch.relation
+        names = self.catalog.get(relation).schema.names()
         runs = batch.sorted_value_runs(names)
-        if batch.relation == self.router.partition_relation:
-            targets = self.router.route_runs(batch.relation, runs)
+        if relation == self.router.partition_relation:
+            targets = self.router.route_runs(relation, runs)
         else:
-            targets = self.beta.route_runs(batch.relation, runs)
+            targets = self.beta.route_runs(relation, runs)
         for shard_id in targets:
             self._deliver(
-                shard_id,
-                batch.relation,
-                lambda engine: engine.on_update_batch(batch),
+                shard_id, relation, lambda engine: engine.on_update(batch)
             )
 
     def _deliver(

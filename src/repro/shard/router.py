@@ -12,11 +12,12 @@ Two routing questions live here:
    stable home (CRC-32 of the name — independent of definition order).
 
 2. **Which shards must see an update?** (:meth:`ShardRouter.
-   route_values` / :meth:`ShardRouter.route_runs`) — at definition time
-   every restriction interval of the procedure is registered into a per
-   ``(relation, field)`` *interval index*: one conservative hull per
-   shard. Routing probes each changed old/new column value against the
-   hulls; a shard whose hull misses every changed value provably hosts
+   route_runs`) — at definition time every restriction interval of the
+   procedure is registered into a per ``(relation, field)`` *interval
+   index*: one conservative hull per shard. Routing bisects each hull
+   into the batch's :class:`~repro.locks.ilocks.SortedValueRuns` — the
+   same memoized runs every shard's i-lock probe then reuses; a shard
+   whose hull misses every changed old/new value provably hosts
    no affected procedure (no changed value lies inside any of its
    procedures' restriction intervals), and a routed shard's own engine
    re-verifies precisely (i-locks, AVM screens, Rete t-consts). A
@@ -31,12 +32,10 @@ charges the simulated clock.
 from __future__ import annotations
 
 import zlib
-from typing import TYPE_CHECKING, Any, Iterable, Optional
+from typing import Any, Iterable, Optional
 
+from repro.locks.ilocks import SortedValueRuns
 from repro.query.predicate import KeyInterval
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.locks.ilocks import SortedValueRuns
 
 #: A procedure's definition-time footprint: one ``(relation, interval)``
 #: item per referenced relation; ``None`` means no extractable interval
@@ -70,13 +69,6 @@ class _Hull:
             self.unbounded_hi = True
         elif self.hi is None or interval.hi > self.hi:
             self.hi = interval.hi
-
-    def contains(self, value: Any) -> bool:
-        if not self.unbounded_lo and (self.lo is None or value < self.lo):
-            return False
-        if not self.unbounded_hi and (self.hi is None or value > self.hi):
-            return False
-        return True
 
     def as_interval(self, field: str) -> KeyInterval:
         return KeyInterval(
@@ -203,36 +195,18 @@ class ShardRouter:
     def route_values(
         self, relation: str, changed_values: Iterable[dict[str, Any]]
     ) -> tuple[int, ...]:
-        """Shards that may host a procedure affected by a write whose
-        old/new tuples are ``changed_values`` (field-value dicts)."""
-        targets = set(self._catch_all.get(relation, ()))
-        if len(targets) < self.num_shards:
-            for values in changed_values:
-                for fld, value in values.items():
-                    if value is None:
-                        continue
-                    hulls = self._index.get((relation, fld))
-                    if hulls is None:
-                        continue
-                    for shard, hull in enumerate(hulls):
-                        if (
-                            hull is not None
-                            and shard not in targets
-                            and hull.contains(value)
-                        ):
-                            targets.add(shard)
-                if len(targets) == self.num_shards:
-                    break
-        self.routed_updates += 1
-        self.routed_shard_visits += len(targets)
-        return tuple(sorted(targets))
+        """:meth:`route_runs` over field-value dicts. Kept only because
+        ``benchmarks/wall/trace.py`` traces this name."""
+        return self.route_runs(
+            relation, SortedValueRuns.from_dicts(changed_values)
+        )
 
     def route_runs(
-        self, relation: str, runs: "SortedValueRuns"
+        self, relation: str, runs: SortedValueRuns
     ) -> tuple[int, ...]:
-        """Batched :meth:`route_values`: probe each shard hull once via
-        pre-sorted value runs (the batch's memoized ones), instead of
-        walking every changed value."""
+        """Shards that may host a procedure affected by a write whose
+        old/new tuples ``runs`` holds (usually a batch's memoized runs):
+        each shard hull is probed once with a bisect."""
         targets = set(self._catch_all.get(relation, ()))
         if len(targets) < self.num_shards and runs.num_changed:
             for (rel, fld), hulls in self._index.items():

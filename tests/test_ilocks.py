@@ -103,22 +103,35 @@ class TestSortedValueRuns:
     """The memoized per-batch sorted value runs behind the swept probe
     and the shard router."""
 
-    def test_swept_accepts_runs_or_values_not_both(self):
+    def test_swept_probe_over_runs_matches_naive_probe(self):
         from repro.locks import SortedValueRuns
 
         table = ILockTable()
         table.set_locks("P", [interval_lock(10, 20)])
         changed = [{"sel": 15}, {"sel": 99}]
-        runs = SortedValueRuns(changed)
-        by_values = table.conflicting_procedures_swept("R1", changed)
-        by_runs = table.conflicting_procedures_swept("R1", runs=runs)
-        assert by_values == by_runs == {"P"}
-        import pytest
+        rows = [(None, 15, 0), (None, 99, 0)]
+        by_rows = table.conflicting_procedures_swept(
+            "R1", SortedValueRuns(["rid", "sel", "pad"], rows)
+        )
+        by_dicts = table.conflicting_procedures_swept(
+            "R1", SortedValueRuns.from_dicts(changed)
+        )
+        naive = table.conflicting_procedures("R1", changed)
+        assert by_rows == by_dicts == naive == {"P"}
+        # No rows means no write: even a whole-relation lock survives.
+        table.set_locks("W", [LockSpec("R1", None)])
+        empty = SortedValueRuns(["rid", "sel", "pad"], [])
+        assert table.conflicting_procedures_swept("R1", empty) == set()
 
-        with pytest.raises(ValueError):
-            table.conflicting_procedures_swept("R1", changed, runs=runs)
-        with pytest.raises(ValueError):
-            table.conflicting_procedures_swept("R1")
+    def test_a_field_sorts_once_on_first_probe(self):
+        from repro.locks import SortedValueRuns
+
+        runs = SortedValueRuns(["rid", "sel"], [(1, 30), (2, None), (3, 10)])
+        assert runs._by_field == {}
+        assert runs.values_for("sel") == [10, 30]
+        assert runs.values_for("sel") is runs.values_for("sel")
+        assert runs.values_for("ghost") == []
+        assert set(runs._by_field) == {"sel", "ghost"}
 
     def test_one_runs_build_serves_many_tables(self):
         """The memoization regression: a batch's runs are built once and
@@ -160,7 +173,7 @@ class TestSortedValueRuns:
         before = clock.elapsed_ms
         table = ILockTable()
         table.set_locks("P", [interval_lock(10, 20)])
-        runs = SortedValueRuns([{"sel": v} for v in (1, 15, 40)])
+        runs = SortedValueRuns(["sel"], [(v,) for v in (1, 15, 40)])
         table.conflicting_procedures_swept("R1", runs=runs)
         assert clock.elapsed_ms == before
 
@@ -168,7 +181,7 @@ class TestSortedValueRuns:
         from repro.locks import SortedValueRuns
         from repro.query.predicate import KeyInterval
 
-        runs = SortedValueRuns([{"sel": v} for v in (3, 9, 27)])
+        runs = SortedValueRuns(["sel"], [(v,) for v in (3, 9, 27)])
         assert runs.interval_hits(KeyInterval("sel", 4, 10, True, False))
         assert not runs.interval_hits(
             KeyInterval("sel", 10, 27, True, False)

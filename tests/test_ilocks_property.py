@@ -11,7 +11,7 @@ value sets through both and demands identical answers.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.locks.ilocks import ILockTable
+from repro.locks.ilocks import ILockTable, SortedValueRuns
 from repro.query.plan import LockSpec
 from repro.query.predicate import KeyInterval
 from repro.storage.columnar import ColumnBatch
@@ -115,7 +115,9 @@ def test_swept_probe_matches_naive_probe(footprint, relation, changed):
     for procedure, specs in footprint.items():
         table.set_locks(procedure, specs)
     naive = table.conflicting_procedures(relation, changed)
-    swept = table.conflicting_procedures_swept(relation, changed)
+    swept = table.conflicting_procedures_swept(
+        relation, SortedValueRuns.from_dicts(changed)
+    )
     assert swept == naive
     assert swept == oracle(footprint, relation, changed)
 
@@ -140,10 +142,10 @@ def test_cleared_procedures_never_conflict(footprint, relation):
     changed=write_values,
 )
 def test_batch_probe_matches_naive_probe(footprint, relation, changed):
-    """The columnar batch probe (sorted column + one bisect per
-    interval) flags exactly the procedures the per-tuple dict probe
-    flags. Missing fields become ``None`` entries in the column; both
-    paths treat ``None`` as non-conflicting."""
+    """The ``ColumnBatch`` delegate of the swept probe flags exactly the
+    procedures the per-tuple dict probe flags. Missing fields become
+    ``None`` entries in the rows; both treat ``None`` as
+    non-conflicting."""
     table = ILockTable()
     for procedure, specs in footprint.items():
         table.set_locks(procedure, specs)

@@ -251,3 +251,63 @@ class TestOneFlagVocabulary:
         # _run_and_emit is the helper's one caller of the artifact writer.
         assert len(re.findall(r"(?<!def )_write_run_artifacts\(", self.CLI)) == 1
         assert 'print("error:' not in self.CLI and "int(args." not in self.CLI
+
+
+class TestBenchmarkNames:
+    """``benchmarks/wall`` is frozen: its tracer wraps the callables its
+    ``TABLE`` names and its oracle test patches i-lock probes by name. A
+    name that stops resolving only raises ``trace.missing`` there, which
+    tier-1 never runs, so it is checked here (reading, never editing,
+    those files)."""
+
+    WALL = ROOT / "benchmarks" / "wall"
+
+    def test_every_traced_target_is_a_plain_function(self, monkeypatch):
+        import importlib
+        import inspect
+
+        monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+        table = importlib.import_module("wall.trace").TABLE
+        assert table
+        for _layer, module_name, qualname in table:
+            target = importlib.import_module(module_name)
+            for part in qualname.split("."):
+                target = getattr(target, part)
+            assert inspect.isfunction(target), (module_name, qualname)
+
+    def test_every_patched_ilock_probe_exists(self):
+        import inspect
+
+        from repro.locks.ilocks import ILockTable
+
+        oracle = (self.WALL / "test_wall_oracle.py").read_text()
+        patched = re.search(r"for probe in \(([^)]*)\)", oracle)
+        assert patched is not None
+        names = set(re.findall(r'"(\w+)"', patched.group(1)))
+        for path in self.WALL.glob("test_*.py"):
+            names.update(re.findall(r"ILockTable\.(\w+)", path.read_text()))
+        assert "conflicting_procedures_batch" in names
+        for name in names:
+            assert inspect.isfunction(getattr(ILockTable, name, None)), name
+
+
+class TestOneUpdatePath:
+    """Every maintenance call is a ``DeltaBatch`` through one
+    ``on_update(batch)`` door; the per-transaction door, its fallbacks
+    and the dict-per-row probe input must not grow back."""
+
+    FORBIDDEN = (
+        "on_update_batch",
+        "_break_locks_grouped",
+        "changed_dicts",
+        "num_transactions <= 1",
+    )
+
+    def test_one_door(self):
+        found = {
+            (path.relative_to(ROOT).as_posix(), name)
+            for path in (ROOT / "src").rglob("*.py")
+            for name in self.FORBIDDEN
+            if name in path.read_text()
+        }
+        assert found == set()

@@ -66,3 +66,49 @@ def test_chaos_runs_are_seed_deterministic(strategy):
     assert a.fault_counts == b.fault_counts
     assert a.database_digest == b.database_digest
     assert a.clock_total_ms == b.clock_total_ms
+
+
+_WAL_RECORDS = """
+import json
+from repro.experiments.simcompare import SIM_SCALE_PARAMS
+from repro.workload.runner import run_workload
+
+logs = []
+for batch_size in (None, 3):
+    result = run_workload(
+        SIM_SCALE_PARAMS.with_update_probability(0.6), "cache_invalidate",
+        num_operations=60, seed=1, invalidation_scheme="wal",
+        batch_size=batch_size, keep_manager=True,
+    )
+    wal = result.manager.strategy.scheme.wal
+    logs.append([
+        (record.lsn, record.kind.name, repr(record.payload))
+        for record in (*wal._records, *wal._tail)
+    ])
+print(json.dumps(logs))
+"""
+
+
+def test_wal_record_order_ignores_string_hashing():
+    """CI records its invalidations in one order whatever
+    ``PYTHONHASHSEED`` is, unbatched and at batch size 3: the names a
+    probe breaks come back as a set, and iterating that set would make
+    the WAL follow string hashing."""
+    import json
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    logs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", _WAL_RECORDS],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
+        ).stdout
+        logs.append(json.loads(out))
+    unbatched, batched = logs[0]
+    assert unbatched and batched
+    assert logs[0] == logs[1]

@@ -13,6 +13,7 @@ import dataclasses
 import pytest
 
 from repro.core import ProcedureManager
+from repro.core.batch import DeltaBatch
 from repro.faults.chaos import CHAOS_STRATEGIES, run_chaos
 from repro.faults.injector import FaultKind, FaultPlan, ScheduledFault
 from repro.model.params import ModelParams
@@ -188,13 +189,14 @@ class TestBetaQueueNoDrop:
 
     def _touch_all_shards(self, db, facade):
         """One delta inside each shard's ``(R1, sel)`` coverage hull so
-        every shard sees a delivery (the strategy-level hook takes
-        explicit old/new rows)."""
+        every shard sees a delivery (the strategy-level hook takes a
+        one-transaction batch of explicit old/new rows)."""
         hulls = facade.router.coverage_hulls()["hulls"][("R1", "sel")]
         for shard_id, hull in enumerate(hulls):
             assert hull is not None and hull.lo is not None
-            row = (10_000 + shard_id, hull.lo, 0)
-            facade.on_update("R1", [row], [])
+            batch = DeltaBatch("R1")
+            batch.add_transaction([(10_000 + shard_id, hull.lo, 0)], [])
+            facade.on_update(batch)
 
     def test_queue_then_drain_preserves_every_update(self):
         db, facade = self._facade()

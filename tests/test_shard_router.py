@@ -277,7 +277,7 @@ class TestRouting:
             router.assign(f"P{i}", [("R1", interval(lo, lo + 11))])
         changed = [{"sel": v} for v in (3, 88, 200, 311, 499)]
         by_values = router.route_values("R1", changed)
-        by_runs = router.route_runs("R1", SortedValueRuns(changed))
+        by_runs = router.route_runs("R1", SortedValueRuns.from_dicts(changed))
         assert by_runs == by_values
 
     def test_stats_track_fanout(self):

@@ -368,7 +368,7 @@ class TestManagerAttribution:
             def access(self, name):
                 return []
 
-            def on_update(self, relation, inserts, deletes):
+            def on_update(self, batch):
                 pass
 
         manager = ProcedureManager(
@@ -386,6 +386,122 @@ class TestManagerAttribution:
         manager, _ = make(AlwaysRecompute, tiny_joined_catalog, clock, buffer)
         with pytest.raises(KeyError):
             manager.access("ghost")
+
+
+class _ChargingMaintenance(ProcedureStrategy):
+    """Charges a fixed 7 ms per maintenance call, or raises ``fault``."""
+
+    strategy_name = StrategyName.ALWAYS_RECOMPUTE
+    fault = None
+
+    def _after_define(self, procedure):
+        pass
+
+    def access(self, name):
+        return []
+
+    def on_update(self, *args):
+        if self.fault is not None:
+            raise self.fault
+        self.clock.charge_fixed(7.0)
+
+
+def _accrued(manager):
+    return (
+        manager.clock.elapsed_ms,
+        manager.num_updates,
+        manager.base_update_cost_ms,
+        manager.maintenance_cost_ms,
+    )
+
+
+def _listen(manager):
+    seen = []
+    manager.update_listener = lambda *delta: seen.append(_accrued(manager))
+    return seen
+
+
+class TestManagerAccrualOrder:
+    """``update``/``insert``/``delete`` accrue their buckets and
+    ``num_updates`` and call ``update_listener`` only after maintenance
+    returns; ``update_deferred`` does so right after the base changes, and
+    ``maintain_batch`` accrues maintenance alone. So ``update`` is not
+    ``update_deferred`` + ``maintain_batch``."""
+
+    def test_maintained_transactions_accrue_after_maintenance(
+        self, tiny_joined_catalog, clock, buffer
+    ):
+        manager = ProcedureManager(
+            _ChargingMaintenance(tiny_joined_catalog, buffer, clock)
+        )
+        clock.reset()
+        seen = _listen(manager)
+        inserted = manager.insert("R1", [(1000, 5, 1)])
+        rid = manager.last_rids[0]
+        updated = manager.update("R1", [(rid, (1000, 6, 1))])
+        deleted = manager.delete("R1", [manager.last_rids[0]])
+        results = (inserted, updated, deleted)
+        assert len(seen) == 3
+        assert seen[-1] == _accrued(manager)
+        assert [state[1] for state in seen] == [1, 2, 3]
+        assert [state[3] for state in seen] == [7.0, 14.0, 21.0]
+        bases = [result.base_cost_ms for result in results]
+        assert all(base > 0 for base in bases)
+        assert [state[2] for state in seen] == [
+            sum(bases[:1]), sum(bases[:2]), sum(bases),
+        ]
+        assert [state[0] for state in seen] == [
+            sum(bases[:n]) + 7.0 * n for n in (1, 2, 3)
+        ]
+        assert [r.maintenance_cost_ms for r in results] == [7.0] * 3
+        assert [r.tuples_modified for r in results] == [1, 1, 1]
+
+    def test_deferred_update_accrues_before_its_batch(
+        self, tiny_joined_catalog, clock, buffer
+    ):
+        from repro.core.batch import DeltaBatch
+
+        manager = ProcedureManager(
+            _ChargingMaintenance(tiny_joined_catalog, buffer, clock)
+        )
+        rid = tiny_joined_catalog.get("R1").insert((1000, 5, 1))
+        clock.reset()
+        seen = _listen(manager)
+        inserts, deletes = manager.update_deferred(
+            "R1", [(rid, (1000, 6, 1))]
+        )
+        assert seen == [_accrued(manager)]
+        elapsed, updates, base, maintained = seen[0]
+        assert updates == 1 and base == elapsed > 0 and maintained == 0.0
+        batch = DeltaBatch("R1")
+        batch.add_transaction(inserts, deletes)
+        assert manager.maintain_batch(batch) == 7.0
+        assert len(seen) == 1
+        assert _accrued(manager) == (elapsed + 7.0, 1, base, 7.0)
+
+    def test_supervised_update_aborted_in_maintenance_counts_once(
+        self, tiny_joined_catalog, clock, buffer
+    ):
+        from repro.faults.errors import FaultError
+        from repro.faults.injector import FaultInjector, FaultPlan
+        from repro.faults.supervisor import (
+            RecoverySupervisor,
+            SupervisedManager,
+        )
+
+        strategy = _ChargingMaintenance(tiny_joined_catalog, buffer, clock)
+        strategy.fault = FaultError("maintenance died")
+        supervisor = RecoverySupervisor(strategy, FaultInjector(FaultPlan()))
+        manager = SupervisedManager(strategy, supervisor)
+        seen = _listen(manager)
+        rid = tiny_joined_catalog.get("R1").insert((1000, 5, 1))
+        result = manager.update("R1", [(rid, (1000, 6, 1))])
+        assert supervisor.update_aborts == 1
+        assert manager.num_updates == 1
+        assert manager.base_update_cost_ms == 0.0
+        assert manager.maintenance_cost_ms == 0.0
+        assert result.base_cost_ms == result.maintenance_cost_ms == 0.0
+        assert seen == []
 
 
 class TestCrossStrategyEquivalence:
