@@ -36,6 +36,11 @@ run python -m pytest tests/test_shard_differential.py -q
 run python -m pytest tests/test_shard_chaos.py -q
 run python -m pytest tests/test_serve_differential.py -q
 
+# Interval registry properties, mirroring CI: CI, the serve cache and
+# the shard router share one i-lock table.
+run python -m pytest tests/test_ilocks_property.py \
+    tests/test_serve_cache_property.py tests/test_shard_router.py -q
+
 # Observability overhead gate, mirroring CI: calls/sample and
 # objects/window of the telemetry receive side, counted, not timed.
 run python -m pytest tests/test_obs_overhead.py -q

@@ -1,11 +1,20 @@
-"""The i-lock table.
+"""The i-lock table: the one interval registry.
 
-Stores, per procedure, the read footprint (:class:`repro.query.plan.
-LockSpec` list) of its last computation, and answers the conflict question:
-*which procedures' locks does this write break?* A write is described by the
-old and new values of the modified tuple — either value falling inside a
-locked range breaks the lock, matching the paper's accounting where each of
-the ``2l`` old/new tuple values has probability ``f`` of breaking a lock.
+Stores, per owner, a read footprint (:class:`repro.query.plan.LockSpec`
+list) and answers the conflict question: *which owners' locks does this
+write break?* A write is described by the old and new values of the
+modified tuples — any value falling inside a locked range breaks the
+lock, matching the paper's accounting where each of the ``2l`` old/new
+tuple values has probability ``f`` of breaking a lock.
+
+Three kinds of owner register here, each with the same rule:
+
+- Cache and Invalidate's procedures, keyed by name, with the footprint
+  their last computation read;
+- the serving tier's result cache (:mod:`repro.serve.cache`), keyed by
+  cache key, with :func:`footprint_of` the cached procedure;
+- the shard router (:mod:`repro.shard.router`), keyed by shard id, with
+  one hull per ``(relation, field)`` plus its catch-all relations.
 
 Lock storage is grouped by relation so conflict checks scan only the locks
 that could possibly apply. The table itself is a memory-resident structure
@@ -22,14 +31,42 @@ the property tests compare it against.
 from __future__ import annotations
 
 import bisect
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Hashable, Iterable, Optional, Sequence
 
 from repro.query.plan import LockSpec
 from repro.storage.tuples import Row
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.procedure import DatabaseProcedure
     from repro.query.predicate import KeyInterval
     from repro.storage.columnar import ColumnBatch
+
+
+def footprint_of(procedure: "DatabaseProcedure") -> tuple[LockSpec, ...]:
+    """A procedure's static read footprint, derived from its query.
+
+    For each member relation, take the restriction's key interval on the
+    first of its restricted fields (in sorted order) with an extractable
+    interval — a conservative superset of the satisfying rows, since any
+    tuple version inside the result region satisfies every restriction
+    term — else lock the whole relation. Join-key churn is covered because
+    join inputs without an interval restriction lock the whole relation.
+    """
+    query = procedure.query
+    if query is None:
+        raise ValueError(
+            f"procedure {procedure.name!r} is unbound; bind() it first"
+        )
+    prints: list[LockSpec] = []
+    for relation in query.relations:
+        predicate = query.restriction_of(relation)
+        interval: Optional["KeyInterval"] = None
+        for field in sorted(predicate.fields()):
+            interval = predicate.interval_on(field)
+            if interval is not None:
+                break
+        prints.append(LockSpec(relation, interval))
+    return tuple(prints)
 
 
 class SortedValueRuns:
@@ -107,14 +144,21 @@ class SortedValueRuns:
 
 
 class ILockTable:
-    """Per-procedure read-footprint locks with conflict detection."""
+    """Per-owner read-footprint locks with conflict detection.
+
+    An owner is any hashable key (a procedure name, a cache key, a shard
+    id). The method names say *procedure*, CI's owner, because the wall
+    benchmark traces them by name.
+    """
 
     def __init__(self) -> None:
-        self._by_procedure: dict[str, list[LockSpec]] = {}
-        self._by_relation: dict[str, dict[str, list[LockSpec]]] = {}
+        self._by_procedure: dict[Hashable, list[LockSpec]] = {}
+        self._by_relation: dict[str, dict[Hashable, list[LockSpec]]] = {}
 
-    def set_locks(self, procedure: str, specs: Iterable[LockSpec]) -> None:
-        """Replace ``procedure``'s locks with ``specs`` (set at recompute)."""
+    def set_locks(self, procedure: Hashable, specs: Iterable[LockSpec]) -> None:
+        """Replace ``procedure``'s locks with ``specs`` (set at recompute).
+        Within one relation an owner's specs are probed in the order
+        given, so a catch-all listed first ends that owner's probe."""
         self.clear_locks(procedure)
         spec_list = list(specs)
         self._by_procedure[procedure] = spec_list
@@ -123,7 +167,7 @@ class ILockTable:
                 procedure, []
             ).append(spec)
 
-    def clear_locks(self, procedure: str) -> None:
+    def clear_locks(self, procedure: Hashable) -> None:
         """Drop all locks held for ``procedure``."""
         specs = self._by_procedure.pop(procedure, None)
         if not specs:
@@ -133,7 +177,7 @@ class ILockTable:
             if relation_map is not None:
                 relation_map.pop(procedure, None)
 
-    def locks_of(self, procedure: str) -> list[LockSpec]:
+    def locks_of(self, procedure: Hashable) -> list[LockSpec]:
         """The locks currently held for ``procedure``."""
         return list(self._by_procedure.get(procedure, ()))
 
@@ -180,21 +224,22 @@ class ILockTable:
 
     def conflicting_procedures_swept(
         self, relation: str, runs: SortedValueRuns
-    ) -> set[str]:
-        """Procedures whose locks are broken by the writes in ``runs``.
+    ) -> set[Hashable]:
+        """Owners whose locks are broken by the writes in ``runs``.
 
         Instead of testing every ``(lock, value)`` pair, each armed
         interval bisects into the sorted values of its field — one sweep
         over the whole write footprint of a
         :class:`repro.core.batch.DeltaBatch`, whose memoized runs every
-        per-shard table probes. Flags exactly the same procedure set as
-        the per-value :meth:`conflicting_procedures` (the property test in
-        ``tests/test_ilocks_property.py`` pins this).
+        per-shard table and the router probe. Flags exactly the same set
+        as the per-value :meth:`conflicting_procedures` (the property test
+        in ``tests/test_ilocks_property.py`` pins this). A write with no
+        changed rows breaks nothing, not even a whole-relation lock.
         """
         relation_map = self._by_relation.get(relation)
         if not relation_map or not runs.num_changed:
             return set()
-        broken: set[str] = set()
+        broken: set[Hashable] = set()
         for procedure, specs in relation_map.items():
             for spec in specs:
                 interval = spec.interval

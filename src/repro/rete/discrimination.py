@@ -20,7 +20,7 @@ column batch and tests each entry's interval against it in one vector pass.
 from __future__ import annotations
 
 import bisect
-from typing import TYPE_CHECKING, Any, Hashable
+from typing import TYPE_CHECKING, Hashable
 
 import numpy as np
 
@@ -34,8 +34,8 @@ class ConstantTestIndex:
     """Maps field values to the registered conditions containing them."""
 
     def __init__(self) -> None:
-        # (relation, field) -> sorted list of (lo_key, interval, handle)
-        self._by_field: dict[tuple[str, str], list[tuple[Any, KeyInterval, Hashable]]] = {}
+        # (relation, field) -> (interval, handle) list sorted by lower bound
+        self._by_field: dict[tuple[str, str], list[tuple[KeyInterval, Hashable]]] = {}
         # (relation,) -> handles of conditions with no usable interval, which
         # must be screened against every changed tuple of the relation.
         self._unindexed: dict[str, list[Hashable]] = {}
@@ -50,8 +50,11 @@ class ConstantTestIndex:
     ) -> None:
         """Register ``handle`` for tuples of ``relation`` inside ``interval``."""
         entries = self._by_field.setdefault((relation, interval.field), [])
-        lo_key = interval.lo if interval.lo is not None else _Infinity()
-        bisect.insort(entries, (lo_key, interval, handle), key=lambda e: _SortKey(e[0]))
+        bisect.insort(
+            entries,
+            (interval, handle),
+            key=lambda e: (0,) if e[0].lo is None else (1, e[0].lo),
+        )
         self._size += 1
 
     def add_catch_all(self, relation: str, handle: Hashable) -> None:
@@ -89,43 +92,9 @@ class ConstantTestIndex:
             if rel != relation or not schema.has_field(field):
                 continue
             column = batch.column(field)
-            for _lo, interval, handle in entries:
+            for interval, handle in entries:
                 hits = np.flatnonzero(interval.contains_mask(column))
                 if len(hits):
                     out.append((handle, hits))
         return out
 
-
-class _Infinity:
-    """Sorts below every other value (an open lower bound)."""
-
-    def __lt__(self, other: object) -> bool:
-        return not isinstance(other, _Infinity)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Infinity)
-
-    def __hash__(self) -> int:
-        return hash("_Infinity")
-
-
-class _SortKey:
-    """Total order wrapper: -inf sentinel < any concrete value."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Any) -> None:
-        self.value = value
-
-    def __lt__(self, other: "_SortKey") -> bool:
-        a, b = self.value, other.value
-        if isinstance(a, _Infinity):
-            return not isinstance(b, _Infinity)
-        if isinstance(b, _Infinity):
-            return False
-        return a < b
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _SortKey):
-            return NotImplemented
-        return not self < other and not other < self

@@ -9,17 +9,16 @@ update stream that feeds the i-lock tables.
 
 Three mechanisms bound staleness:
 
-- **Interval/table invalidation** (the correctness mechanism). Every
-  cacheable key registers a *footprint* derived from its procedure's
-  query: per member relation, the restriction's key interval when one
-  exists, else the whole relation. An update transaction probes the
-  changed old/new values against a per-``(relation, field)`` sorted
-  interval index — Łopuszański's single-table web-cache scheme
-  (arXiv 2310.15360) rather than the engine's per-lock sweep: intervals
-  are sorted by lower bound with running max-upper-bound prefixes, so
-  each changed value stabs the index in ``O(log n + k)`` instead of
-  probing every lock. A footprint hit drops the entry before any reader
-  can see it; table-level footprints fall back to whole-relation drops.
+- **I-lock invalidation** (the correctness mechanism). Every
+  cached entry holds i-locks on its procedure's
+  :func:`~repro.locks.ilocks.footprint_of`: per member relation, the
+  restriction's key interval when one exists, else the whole relation.
+  The locks live in the engine's own :class:`~repro.locks.ilocks.
+  ILockTable`, owned by cache key, and an update transaction's changed
+  old/new values probe it once through the same sorted-runs sweep CI
+  uses — Łopuszański's caching-layer invalidation (arXiv 2310.15360)
+  answered by i-locks rather than by a second index. A broken lock drops
+  the entry before any reader can see it.
 - **TTL on the simulated clock** (the belt-and-braces bound): entries
   expire ``ttl_ms`` simulated milliseconds after insertion even if no
   invalidation arrives.
@@ -34,12 +33,12 @@ prices.
 
 from __future__ import annotations
 
-import bisect
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
-from repro.query.predicate import KeyInterval
+from repro.locks.ilocks import ILockTable, SortedValueRuns, footprint_of
+from repro.query.plan import LockSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.procedure import DatabaseProcedure
@@ -81,135 +80,10 @@ def canonical_key(raw: str) -> str:
     return key
 
 
-@dataclass(frozen=True)
-class Footprint:
-    """One relation a cached result depends on, with the key interval
-    that bounds the dependency (``None`` = the whole relation)."""
-
-    relation: str
-    interval: Optional[KeyInterval] = None
-
-
-def footprint_of(procedure: "DatabaseProcedure") -> tuple[Footprint, ...]:
-    """Derive a cached result's invalidation footprint from its query.
-
-    For each member relation, take the restriction's key interval on one
-    restricted field when extractable (a conservative superset of the
-    satisfying rows — rows outside it can never join into or select into
-    the result), else fall back to the whole relation. Join-key churn is
-    covered because join inputs without an interval restriction register
-    table-level footprints.
-    """
-    query = procedure.query
-    if query is None:
-        raise ValueError(
-            f"procedure {procedure.name!r} is unbound; bind() before caching"
-        )
-    prints: list[Footprint] = []
-    for relation in query.relations:
-        predicate = query.restriction_of(relation)
-        interval: Optional[KeyInterval] = None
-        for field in sorted(predicate.fields()):
-            interval = predicate.interval_on(field)
-            if interval is not None:
-                break
-        prints.append(Footprint(relation, interval))
-    return tuple(prints)
-
-
-class IntervalStabber:
-    """A sorted interval index answering point stabs.
-
-    Intervals are kept sorted by lower bound alongside a running
-    max-upper-bound prefix; a stab bisects to the last interval whose
-    lower bound admits the value, then walks left only while the prefix
-    maximum says a hit is still possible. Mutations mark the index dirty
-    and it rebuilds lazily on the next probe. Non-orderable bound types
-    degrade to a linear (still exact) scan.
-    """
-
-    _NEG = (0,)  # sort key for an unbounded lower end
-
-    def __init__(self) -> None:
-        self._intervals: dict[str, KeyInterval] = {}
-        self._dirty = True
-        self._linear = False
-        self._lo_keys: list[tuple] = []
-        self._order: list[str] = []
-        self._max_hi: list[Any] = []  # prefix max upper bound; None = +inf
-
-    def __len__(self) -> int:
-        return len(self._intervals)
-
-    def add(self, key: str, interval: KeyInterval) -> None:
-        self._intervals[key] = interval
-        self._dirty = True
-
-    def discard(self, key: str) -> None:
-        if self._intervals.pop(key, None) is not None:
-            self._dirty = True
-
-    def _rebuild(self) -> None:
-        self._dirty = False
-        self._linear = False
-        try:
-            ranked = sorted(
-                self._intervals.items(),
-                key=lambda kv: self._NEG
-                if kv[1].lo is None
-                else (1, kv[1].lo),
-            )
-        except TypeError:  # mixed bound types: stay exact, go linear
-            self._linear = True
-            return
-        self._lo_keys = [
-            self._NEG if iv.lo is None else (1, iv.lo) for _, iv in ranked
-        ]
-        self._order = [key for key, _ in ranked]
-        self._max_hi = []
-        running: Any = ...  # sentinel: nothing seen yet
-        for _, interval in ranked:
-            if running is None or interval.hi is None:
-                running = None  # unbounded above dominates everything
-            elif running is ... or interval.hi > running:
-                running = interval.hi
-            self._max_hi.append(running)
-
-    def stab(self, value: Any) -> set[str]:
-        """Keys of every interval containing ``value``."""
-        if self._dirty:
-            self._rebuild()
-        if self._linear:
-            return {
-                key
-                for key, interval in self._intervals.items()
-                if interval.contains(value)
-            }
-        hits: set[str] = set()
-        try:
-            idx = bisect.bisect_right(self._lo_keys, (1, value))
-        except TypeError:
-            self._linear = True
-            return self.stab(value)
-        for i in range(idx - 1, -1, -1):
-            ceiling = self._max_hi[i]
-            try:
-                if ceiling is not None and ceiling < value:
-                    break  # no interval at or left of i reaches this high
-            except TypeError:
-                self._linear = True
-                return self.stab(value)
-            interval = self._intervals[self._order[i]]
-            if interval.contains(value):
-                hits.add(self._order[i])
-        return hits
-
-
 @dataclass
 class _Entry:
     rows: tuple
     expires_ms: Optional[float]
-    footprints: tuple[Footprint, ...]
 
 
 class ResultCache:
@@ -225,7 +99,7 @@ class ResultCache:
     def __init__(
         self,
         clock: "CostClock",
-        catalog: "Catalog | None" = None,
+        catalog: "Catalog",
         capacity: int = 256,
         ttl_ms: Optional[float] = None,
         registry: "MetricsRegistry | None" = None,
@@ -244,9 +118,9 @@ class ResultCache:
         self.telemetry = telemetry
         self.audit = audit
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
-        self._footprints: dict[str, tuple[Footprint, ...]] = {}
-        self._stabbers: dict[str, dict[str, IntervalStabber]] = {}
-        self._table_keys: dict[str, set[str]] = {}
+        self._footprints: dict[str, tuple[LockSpec, ...]] = {}
+        #: i-locks of the stored entries, owned by cache key.
+        self._locks = ILockTable()
         self.hits = 0
         self.misses = 0
         self.expirations = 0
@@ -263,7 +137,7 @@ class ResultCache:
         )
 
     def register_key(
-        self, raw_key: str, footprints: tuple[Footprint, ...]
+        self, raw_key: str, footprints: tuple[LockSpec, ...]
     ) -> str:
         """Make ``raw_key`` cacheable under an explicit footprint set —
         the general form of :meth:`register` for results whose
@@ -328,31 +202,15 @@ class ResultCache:
         inserts: list[tuple],
         deletes: list[tuple],
     ) -> int:
-        """Feed one update transaction's delta through the invalidation
-        index — the same ``deletes + inserts`` row stream the engine hands
+        """Probe the entries' i-locks once with one update transaction's
+        delta — the same ``deletes + inserts`` row stream the engine hands
         its i-lock sweep. Returns the number of entries dropped."""
-        if not inserts and not deletes:
-            return 0
-        doomed = set(self._table_keys.get(relation, ()))
-        by_field = self._stabbers.get(relation)
-        if by_field:
-            if self.catalog is None:
-                raise ValueError(
-                    "on_update with interval footprints needs a catalog"
-                )
-            names = self.catalog.get(relation).schema.names()
-            for field, stabber in by_field.items():
-                if not len(stabber):
-                    continue
-                pos = names.index(field)
-                seen: set = set()
-                for row in deletes + inserts:
-                    value = row[pos]
-                    if value in seen or value is None:
-                        continue
-                    seen.add(value)
-                    doomed |= stabber.stab(value)
-        return self._invalidate(doomed)
+        runs = SortedValueRuns(
+            self.catalog.get(relation).schema.names(), deletes + inserts
+        )
+        return self._invalidate(
+            self._locks.conflicting_procedures_swept(relation, runs)
+        )
 
     def invalidate_table(self, relation: str) -> int:
         """Drop every entry whose footprint touches ``relation`` at all
@@ -360,8 +218,11 @@ class ResultCache:
         of the exemplar API. Returns the number dropped."""
         doomed = {
             key
-            for key, entry in self._entries.items()
-            if any(fp.relation == relation for fp in entry.footprints)
+            for key in self._entries
+            if any(
+                spec.relation == relation
+                for spec in self._locks.locks_of(key)
+            )
         }
         return self._invalidate(doomed)
 
@@ -402,7 +263,7 @@ class ResultCache:
             self.telemetry.on_point(point, 1.0, self.clock.elapsed_ms)
 
     def _store(
-        self, key: str, rows: tuple, footprints: tuple[Footprint, ...]
+        self, key: str, rows: tuple, footprints: tuple[LockSpec, ...]
     ) -> None:
         if key in self._entries:
             self._drop(key)
@@ -411,14 +272,8 @@ class ResultCache:
             if self.ttl_ms is None
             else self.clock.elapsed_ms + self.ttl_ms
         )
-        self._entries[key] = _Entry(rows, expires, footprints)
-        for fp in footprints:
-            if fp.interval is None:
-                self._table_keys.setdefault(fp.relation, set()).add(key)
-            else:
-                self._stabbers.setdefault(fp.relation, {}).setdefault(
-                    fp.interval.field, IntervalStabber()
-                ).add(key, fp.interval)
+        self._entries[key] = _Entry(rows, expires)
+        self._locks.set_locks(key, footprints)
         while len(self._entries) > self.capacity:
             victim = next(iter(self._entries))
             self._drop(victim)
@@ -426,22 +281,10 @@ class ResultCache:
             self._emit("serve.cache.eviction")
 
     def _drop(self, key: str) -> None:
-        entry = self._entries.pop(key, None)
-        if entry is None:
-            return
-        for fp in entry.footprints:
-            if fp.interval is None:
-                keys = self._table_keys.get(fp.relation)
-                if keys is not None:
-                    keys.discard(key)
-            else:
-                by_field = self._stabbers.get(fp.relation)
-                if by_field is not None:
-                    stabber = by_field.get(fp.interval.field)
-                    if stabber is not None:
-                        stabber.discard(key)
+        if self._entries.pop(key, None) is not None:
+            self._locks.clear_locks(key)
 
-    def _invalidate(self, doomed: set[str]) -> int:
+    def _invalidate(self, doomed: Iterable[str]) -> int:
         dropped = 0
         for key in sorted(doomed):
             if key in self._entries:

@@ -4,7 +4,7 @@ Partitions ``R1`` by key range into ``S`` shards — each with its own
 i-lock table, buffer pool, WAL, and Rete α-subnetwork — behind a single
 :class:`~repro.core.strategy.ProcedureStrategy` facade. The
 :class:`ShardRouter` maps each update's changed column values through a
-per-``(relation, field)`` interval index to the (usually one) affected
+per-shard i-locks (hulls in an ``ILockTable``) to the (usually one) affected
 shard; the :class:`SharedBetaTier` fans join-side deltas for model-2
 procedures; the sizing layer measures bytes per relation / shard / Rete
 memory / i-lock table so the bench ledger can gate memory-per-procedure

@@ -17,7 +17,7 @@ supervisor all work unchanged:
   :class:`~repro.shard.router.ShardRouter` (same ``C_f`` interval →
   same home, so RVM's α-sharing survives partitioning);
 - ``access`` delegates to the home shard;
-- ``on_update`` routes the batch through the interval index to the
+- ``on_update`` routes the batch through the router's i-locks to the
   (usually one) affected shard for partition-relation writes, and
   through the :class:`SharedBetaTier` for join-side relations — the
   model-2 fan-out path — probing the batch's memoized sorted runs, which
@@ -66,7 +66,8 @@ from typing import TYPE_CHECKING, Callable, Optional
 from repro.core.procedure import DatabaseProcedure
 from repro.core.strategy import ProcedureStrategy
 from repro.faults.errors import ShardCrashSignal
-from repro.shard.router import CoverageItem, ShardRouter
+from repro.locks.ilocks import footprint_of
+from repro.shard.router import ShardRouter
 from repro.sim import CostClock, spawn
 from repro.storage.buffer import BufferPool
 from repro.storage.catalog import Catalog
@@ -125,7 +126,7 @@ class SharedBetaTier:
     relations are *not* clustered by home shard, so one join-side write
     typically concerns several shards. The β-tier is the shared routing
     component that fans such a delta to exactly the shards whose join
-    procedures may consume it (per the router's interval index; a
+    procedures may consume it (per the router's i-locks; a
     restriction-free member relation like model 2's ``R3`` routes to
     every shard hosting such a procedure). It keeps its own fan-out
     telemetry so the sizing layer can report how much cross-shard join
@@ -213,32 +214,8 @@ class ShardedStrategy(ProcedureStrategy):
 
     # -- definition --------------------------------------------------------
 
-    def _definition_coverage(
-        self, procedure: DatabaseProcedure
-    ) -> list[CoverageItem]:
-        """The procedure's static read footprint: per member relation,
-        the first restriction interval extractable from its normalized
-        predicate (``None`` = whole-relation coverage). Sufficient for
-        conservative routing because changed tuples route with *all*
-        their field values: any tuple version inside the procedure's
-        result region satisfies every restriction term, in particular
-        the registered one."""
-        coverage: list[CoverageItem] = []
-        query = procedure.query
-        for relation in query.relations:
-            predicate = query.restriction_of(relation)
-            interval = None
-            for fld in self.catalog.get(relation).schema.names():
-                interval = predicate.interval_on(fld)
-                if interval is not None:
-                    break
-            coverage.append((relation, interval))
-        return coverage
-
     def _after_define(self, procedure: DatabaseProcedure) -> None:
-        home = self.router.assign(
-            procedure.name, self._definition_coverage(procedure)
-        )
+        home = self.router.assign(procedure.name, footprint_of(procedure))
         shard = self.shards[home]
         shard.strategy.define(procedure)
         if shard.replica is not None:

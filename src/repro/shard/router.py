@@ -1,4 +1,4 @@
-"""The shard router: key-range partitioning plus an interval index.
+"""The shard router: key-range partitioning plus per-shard i-locks.
 
 Two routing questions live here:
 
@@ -12,18 +12,19 @@ Two routing questions live here:
    stable home (CRC-32 of the name — independent of definition order).
 
 2. **Which shards must see an update?** (:meth:`ShardRouter.
-   route_runs`) — at definition time every restriction interval of the
-   procedure is registered into a per ``(relation, field)`` *interval
-   index*: one conservative hull per shard. Routing bisects each hull
-   into the batch's :class:`~repro.locks.ilocks.SortedValueRuns` — the
-   same memoized runs every shard's i-lock probe then reuses; a shard
-   whose hull misses every changed old/new value provably hosts
-   no affected procedure (no changed value lies inside any of its
-   procedures' restriction intervals), and a routed shard's own engine
-   re-verifies precisely (i-locks, AVM screens, Rete t-consts). A
-   restriction with no extractable interval registers the relation as
-   *catch-all* for that home shard: every write to the relation routes
-   there (exactly the whole-relation i-lock rule).
+   route_runs`) — at definition time the procedure's
+   :func:`~repro.locks.ilocks.footprint_of` widens one conservative hull
+   per ``(relation, field)`` for its home shard, and the home's hulls are
+   registered as i-locks owned by the shard id in an
+   :class:`~repro.locks.ilocks.ILockTable`. Routing is that table's one
+   sorted-runs probe over the batch's memoized
+   :class:`~repro.locks.ilocks.SortedValueRuns` — the same runs every
+   shard's own i-lock probe then reuses; a shard whose hulls miss every
+   changed old/new value provably hosts no affected procedure, and a
+   routed shard's own engine re-verifies precisely (i-locks, AVM screens,
+   Rete t-consts). A restriction with no extractable interval makes the
+   relation *catch-all* for that home shard: a whole-relation i-lock, so
+   every write to the relation routes there.
 
 Routing is memory-resident bookkeeping — like the i-lock table, it never
 charges the simulated clock.
@@ -34,13 +35,9 @@ from __future__ import annotations
 import zlib
 from typing import Any, Iterable, Optional
 
-from repro.locks.ilocks import SortedValueRuns
+from repro.locks.ilocks import ILockTable, SortedValueRuns
+from repro.query.plan import LockSpec
 from repro.query.predicate import KeyInterval
-
-#: A procedure's definition-time footprint: one ``(relation, interval)``
-#: item per referenced relation; ``None`` means no extractable interval
-#: (whole-relation coverage).
-CoverageItem = tuple[str, Optional[KeyInterval]]
 
 
 class _Hull:
@@ -79,8 +76,8 @@ class _Hull:
 
 
 class ShardRouter:
-    """Key-range partitioner plus per-``(relation, field)`` interval
-    index mapping changed column values to affected shards.
+    """Key-range partitioner plus per-shard i-locks mapping changed
+    column values to affected shards.
 
     Args:
         num_shards: number of shards ``S`` (>= 1).
@@ -110,6 +107,8 @@ class ShardRouter:
         #: extractable interval (every write routes there).
         self._catch_all: dict[str, set[int]] = {}
         self._home: dict[str, int] = {}
+        #: Each shard's hulls and catch-alls as i-locks, owned by shard id.
+        self._locks = ILockTable()
         #: Routing telemetry (the sizing layer reports these).
         self.routed_updates = 0
         self.routed_shard_visits = 0
@@ -142,14 +141,15 @@ class ShardRouter:
 
     # -- definition-time registration -------------------------------------
 
-    def assign(self, name: str, coverage: Iterable[CoverageItem]) -> int:
-        """Pick ``name``'s home shard and index its coverage; returns the
-        home shard id."""
-        items = list(coverage)
+    def assign(self, name: str, footprint: Iterable[LockSpec]) -> int:
+        """Pick ``name``'s home shard and widen the home's i-locks by its
+        footprint; returns the home shard id."""
+        specs = list(footprint)
         home: Optional[int] = None
-        for relation, interval in items:
+        for spec in specs:
+            interval = spec.interval
             if (
-                relation == self.partition_relation
+                spec.relation == self.partition_relation
                 and interval is not None
                 and interval.field == self.partition_field
                 and interval.lo is not None
@@ -161,19 +161,34 @@ class ShardRouter:
             # choice independent of definition order and shard count
             # changes elsewhere.
             home = zlib.crc32(name.encode()) % self.num_shards
-        for relation, interval in items:
+        for spec in specs:
+            interval = spec.interval
             if interval is None or (
                 interval.lo is None and interval.hi is None
             ):
-                self._catch_all.setdefault(relation, set()).add(home)
+                self._catch_all.setdefault(spec.relation, set()).add(home)
                 continue
             hulls = self._index.setdefault(
-                (relation, interval.field), [None] * self.num_shards
+                (spec.relation, interval.field), [None] * self.num_shards
             )
             if hulls[home] is None:
                 hulls[home] = _Hull()
             hulls[home].add(interval)
         self._home[name] = home
+        # Catch-alls first: they end the home's probe on their relation.
+        self._locks.set_locks(
+            home,
+            [
+                LockSpec(relation)
+                for relation, shards in self._catch_all.items()
+                if home in shards
+            ]
+            + [
+                LockSpec(relation, hulls[home].as_interval(fld))
+                for (relation, fld), hulls in self._index.items()
+                if hulls[home] is not None
+            ],
+        )
         return home
 
     def home_of(self, name: str) -> int:
@@ -206,22 +221,14 @@ class ShardRouter:
     ) -> tuple[int, ...]:
         """Shards that may host a procedure affected by a write whose
         old/new tuples ``runs`` holds (usually a batch's memoized runs):
-        each shard hull is probed once with a bisect."""
-        targets = set(self._catch_all.get(relation, ()))
-        if len(targets) < self.num_shards and runs.num_changed:
-            for (rel, fld), hulls in self._index.items():
-                if rel != relation:
-                    continue
-                for shard, hull in enumerate(hulls):
-                    if (
-                        hull is not None
-                        and shard not in targets
-                        and runs.interval_hits(hull.as_interval(fld))
-                    ):
-                        targets.add(shard)
+        the shards whose i-locks the write breaks. A write with no
+        changed rows routes nowhere."""
+        targets = tuple(
+            sorted(self._locks.conflicting_procedures_swept(relation, runs))
+        )
         self.routed_updates += 1
         self.routed_shard_visits += len(targets)
-        return tuple(sorted(targets))
+        return targets
 
     def coverage_hulls(self) -> dict:
         """Snapshot of the routing state: every ``(relation, field)``
@@ -244,7 +251,7 @@ class ShardRouter:
         return {"hulls": hulls, "catch_all": catch_all}
 
     def stats(self) -> dict[str, float]:
-        """Routing telemetry: how selective the interval index is."""
+        """Routing telemetry: how selective the shard i-locks are."""
         updates = self.routed_updates
         return {
             "routed_updates": float(updates),

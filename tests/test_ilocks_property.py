@@ -122,13 +122,30 @@ def test_swept_probe_matches_naive_probe(footprint, relation, changed):
     assert swept == oracle(footprint, relation, changed)
 
 
-@settings(max_examples=30, deadline=None)
-@given(footprint=footprints, relation=st.sampled_from(RELATIONS))
-def test_cleared_procedures_never_conflict(footprint, relation):
+@settings(max_examples=60, deadline=None)
+@given(
+    footprint=footprints,
+    relation=st.sampled_from(RELATIONS),
+    changed=write_values,
+    data=st.data(),
+)
+def test_cleared_procedures_never_conflict(footprint, relation, changed, data):
+    """Clearing a random subset of owners leaves exactly the survivors'
+    conflicts: the swept probe equals the oracle over what remains."""
     table = ILockTable()
     for procedure, specs in footprint.items():
         table.set_locks(procedure, specs)
-    for procedure in footprint:
+    cleared = data.draw(st.sets(st.sampled_from(sorted(footprint) or ["P0"])))
+    for procedure in cleared:
+        table.clear_locks(procedure)
+    survivors = {p: s for p, s in footprint.items() if p not in cleared}
+    assert table.num_locks() == sum(len(s) for s in survivors.values())
+    swept = table.conflicting_procedures_swept(
+        relation, SortedValueRuns.from_dicts(changed)
+    )
+    assert swept == oracle(survivors, relation, changed)
+    assert not swept & cleared
+    for procedure in survivors:
         table.clear_locks(procedure)
     assert table.num_locks() == 0
     # A whole-relation write breaks nothing once all locks are cleared.

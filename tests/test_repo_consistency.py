@@ -311,3 +311,39 @@ class TestOneUpdatePath:
             if name in path.read_text()
         }
         assert found == set()
+
+
+class TestOneIntervalRegistry:
+    """``ILockTable`` is the one structure mapping owners (procedures,
+    cache keys, shard ids) to interval footprints, and ``footprint_of``
+    the one rule deriving a footprint from a query; the serve tier's
+    stabber, the router's coverage items and the sort-key helpers they
+    replaced must not grow back."""
+
+    FORBIDDEN = (
+        "IntervalStabber",
+        "class Footprint",
+        "CoverageItem",
+        "_definition_coverage",
+        "_SortKey",
+        "_Infinity",
+    )
+
+    def test_one_registry(self):
+        sources = {
+            path.relative_to(ROOT).as_posix(): path.read_text()
+            for path in (ROOT / "src").rglob("*.py")
+        }
+        found = {
+            (path, name)
+            for path, text in sources.items()
+            for name in self.FORBIDDEN
+            if name in text
+        }
+        assert found == set()
+        defs = [
+            path
+            for path, text in sources.items()
+            for _ in re.finditer(r"\bdef footprint_of\(", text)
+        ]
+        assert defs == ["src/repro/locks/ilocks.py"]

@@ -13,18 +13,18 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.simcompare import SIM_SCALE_PARAMS
+from repro.locks.ilocks import footprint_of
 from repro.obs.registry import MetricsRegistry
+from repro.query.plan import LockSpec
 from repro.query.predicate import KeyInterval
 from repro.serve.cache import (
     MODE_EXPIRED,
     MODE_HIT,
     MODE_MISS,
     MODE_UNCACHED,
-    Footprint,
     ResultCache,
     canonical_key,
     canonical_rows,
-    footprint_of,
 )
 from repro.workload.database import build_database
 from repro.workload.procedures import build_procedures
@@ -36,13 +36,26 @@ class _TickClock:
         self.elapsed_ms = 0.0
 
 
+class _Schema:
+    def names(self):
+        return ("k", "v")
+
+
+class _Table:
+    schema = _Schema()
+
+
+class _Catalog:
+    def get(self, relation):
+        return _Table()
+
+
 def _plain_cache(**kwargs) -> ResultCache:
-    cache = ResultCache(_TickClock(), **kwargs)
-    return cache
+    return ResultCache(_TickClock(), _Catalog(), **kwargs)
 
 
 def _register(cache: ResultCache, name: str) -> str:
-    return cache.register_key(name, (Footprint("R", None),))
+    return cache.register_key(name, (LockSpec("R", None),))
 
 
 class TestCanonicalKey:
@@ -127,31 +140,17 @@ class TestGetOrCompute:
         assert cache.stale_reads == 1  # repair stuck
 
 
-class _Schema:
-    def names(self):
-        return ("k", "v")
-
-
-class _Table:
-    schema = _Schema()
-
-
-class _Catalog:
-    def get(self, relation):
-        return _Table()
-
-
 class TestInvalidation:
     def _cache(self) -> ResultCache:
-        cache = ResultCache(_TickClock(), catalog=_Catalog())
+        cache = _plain_cache()
         cache.register_key(
-            "lo", (Footprint("R", KeyInterval("k", lo=0, hi=4)),)
+            "lo", (LockSpec("R", KeyInterval("k", lo=0, hi=4)),)
         )
         cache.register_key(
-            "hi", (Footprint("R", KeyInterval("k", lo=10, hi=14)),)
+            "hi", (LockSpec("R", KeyInterval("k", lo=10, hi=14)),)
         )
-        cache.register_key("whole", (Footprint("R", None),))
-        cache.register_key("other", (Footprint("S", None),))
+        cache.register_key("whole", (LockSpec("R", None),))
+        cache.register_key("other", (LockSpec("S", None),))
         for name in ("lo", "hi", "whole", "other"):
             cache.get_or_compute(name, lambda: ((name,),))
         return cache
@@ -197,15 +196,6 @@ class TestInvalidation:
         cache = self._cache()
         assert cache.clear() == 4
         assert cache.invalidations == 4
-
-    def test_interval_footprints_need_catalog(self):
-        cache = _plain_cache()
-        cache.register_key(
-            "q", (Footprint("R", KeyInterval("k", lo=0, hi=1)),)
-        )
-        cache.get_or_compute("q", lambda: ((1,),))
-        with pytest.raises(ValueError, match="catalog"):
-            cache.on_update("R", inserts=[(0, 0)], deletes=[])
 
 
 class TestFootprints:
@@ -256,7 +246,7 @@ class TestStatsAndTelemetry:
 
     def test_counters_reach_registry(self):
         registry = MetricsRegistry()
-        cache = ResultCache(_TickClock(), registry=registry, capacity=1)
+        cache = _plain_cache(registry=registry, capacity=1)
         for name in ("A", "B"):
             _register(cache, name)
             cache.get_or_compute(name, lambda: ((1,),))
@@ -268,6 +258,6 @@ class TestStatsAndTelemetry:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ResultCache(_TickClock(), capacity=0)
+            _plain_cache(capacity=0)
         with pytest.raises(ValueError):
-            ResultCache(_TickClock(), ttl_ms=0.0)
+            _plain_cache(ttl_ms=0.0)

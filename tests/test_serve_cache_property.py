@@ -7,11 +7,8 @@ relation held as a plain dict, cacheable keys defined by explicit key
 intervals — and asserts that *every* ``get_or_compute`` answer (hit,
 miss, or expired-recompute) equals a fresh oracle computation at that
 instant. Random capacities and TTLs run the LRU and expiry machinery
-through the same proof.
-
-A second property pins the interval index itself: the sorted
-prefix-max stab must agree with the brute-force linear scan for any
-interval set, including unbounded and degenerate ranges.
+through the same proof. The i-lock probe the cache invalidates through
+is pinned against brute force in ``test_ilocks_property``.
 """
 
 from __future__ import annotations
@@ -19,8 +16,9 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.query.plan import LockSpec
 from repro.query.predicate import KeyInterval
-from repro.serve.cache import Footprint, IntervalStabber, ResultCache
+from repro.serve.cache import ResultCache
 
 KEYSPACE = 16  # oracle rows live at k in [0, KEYSPACE)
 
@@ -118,7 +116,7 @@ def test_cache_never_serves_stale(footprints, ops, capacity, ttl_ms):
     keys = []
     for index, interval in enumerate(footprints):
         name = f"Q{index}"
-        cache.register_key(name, (Footprint("R", interval),))
+        cache.register_key(name, (LockSpec("R", interval),))
         keys.append((name, interval))
 
     for verb, a, b in ops:
@@ -150,47 +148,3 @@ def test_cache_never_serves_stale(footprints, ops, capacity, ttl_ms):
     assert cache.stale_reads == 0
     assert len(cache._entries) <= capacity
 
-
-@given(
-    intervals=st.lists(_intervals(), min_size=0, max_size=24),
-    probes=st.lists(
-        st.integers(min_value=-2, max_value=KEYSPACE + 1),
-        min_size=1,
-        max_size=24,
-    ),
-)
-@settings(max_examples=150, deadline=None)
-def test_stabber_agrees_with_linear_scan(intervals, probes):
-    """The prefix-max sorted stab is exactly the brute-force answer."""
-    stabber = IntervalStabber()
-    for index, interval in enumerate(intervals):
-        stabber.add(f"k{index}", interval)
-    for value in probes:
-        expected = {
-            f"k{index}"
-            for index, interval in enumerate(intervals)
-            if interval.contains(value)
-        }
-        assert stabber.stab(value) == expected
-
-
-@given(
-    intervals=st.lists(_intervals(), min_size=2, max_size=16),
-    probes=st.lists(
-        st.integers(min_value=0, max_value=KEYSPACE - 1),
-        min_size=1,
-        max_size=8,
-    ),
-    drop=st.integers(min_value=0, max_value=15),
-)
-@settings(max_examples=80, deadline=None)
-def test_stabber_discard_then_stab(intervals, probes, drop):
-    """Removal marks the index dirty; the rebuilt stab forgets the key."""
-    stabber = IntervalStabber()
-    for index, interval in enumerate(intervals):
-        stabber.add(f"k{index}", interval)
-    victim = f"k{drop % len(intervals)}"
-    stabber.stab(probes[0])  # force a build before mutating
-    stabber.discard(victim)
-    for value in probes:
-        assert victim not in stabber.stab(value)

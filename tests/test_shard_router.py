@@ -4,7 +4,7 @@ The hypothesis property pins the partition function's contract — every
 key in (and around) the domain maps to exactly one shard, shard key
 ranges tile the domain without gaps or overlaps, and boundaries are
 deterministic functions of ``(num_shards, domain)`` alone. The unit
-tests cover home-shard assignment, the interval index's conservative
+tests cover home-shard assignment, the router i-locks' conservative
 hulls, and catch-all (whole-relation) registration.
 """
 
@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.locks.ilocks import SortedValueRuns
+from repro.query.plan import LockSpec
 from repro.query.predicate import KeyInterval
 from repro.shard import ShardRouter
 
@@ -87,7 +89,7 @@ def test_routing_is_a_conservative_superset(num_shards, domain, data):
         width = data.draw(st.integers(min_value=1, max_value=domain))
         name = f"P{i}"
         intervals[name] = (lo, lo + width)
-        homes[name] = router.assign(name, [("R1", interval(lo, lo + width))])
+        homes[name] = router.assign(name, [LockSpec("R1", interval(lo, lo + width))])
     values = data.draw(
         st.lists(
             st.integers(min_value=0, max_value=domain - 1),
@@ -147,7 +149,7 @@ def test_hulls_stay_conservative_across_failover_reregistration(
     for i in range(n_procs):
         lo = data.draw(st.integers(min_value=0, max_value=domain - 1))
         width = data.draw(st.integers(min_value=1, max_value=domain))
-        coverages[f"P{i}"] = [("R1", interval(lo, lo + width))]
+        coverages[f"P{i}"] = [LockSpec("R1", interval(lo, lo + width))]
         router.assign(f"P{i}", coverages[f"P{i}"])
     probes = data.draw(
         st.lists(
@@ -173,7 +175,7 @@ def test_hulls_stay_conservative_across_failover_reregistration(
 
 def test_failover_leaves_facade_coverage_intact():
     """End to end on the real facade: crash + replica promotion never
-    touches the interval index, so the promoted shard keeps receiving
+    touches the router's i-locks, so the promoted shard keeps receiving
     exactly the updates its procedures cover."""
     from repro.core import ProcedureManager
     from repro.model.params import ModelParams
@@ -220,7 +222,7 @@ def test_failover_leaves_facade_coverage_intact():
 class TestAssignment:
     def test_home_is_range_owner_of_interval_lo(self):
         router = ShardRouter(4, domain=100)
-        home = router.assign("P", [("R1", interval(55, 60))])
+        home = router.assign("P", [LockSpec("R1", interval(55, 60))])
         assert home == router.shard_of_key(55)
         assert router.home_of("P") == home
 
@@ -228,21 +230,21 @@ class TestAssignment:
         """Same C_f interval -> same home shard, so Rete sharing
         survives partitioning."""
         router = ShardRouter(8, domain=512)
-        a = router.assign("A", [("R1", interval(40, 50))])
-        b = router.assign("B", [("R1", interval(40, 50))])
+        a = router.assign("A", [LockSpec("R1", interval(40, 50))])
+        b = router.assign("B", [LockSpec("R1", interval(40, 50))])
         assert a == b
 
     def test_no_partition_interval_hashes_stably(self):
         router = ShardRouter(8, domain=512)
-        home = router.assign("Q", [("R2", interval(1, 2, field="b"))])
+        home = router.assign("Q", [LockSpec("R2", interval(1, 2, field="b"))])
         rebuilt = ShardRouter(8, domain=512)
-        assert rebuilt.assign("Q", [("R2", interval(1, 2, field="b"))]) == home
+        assert rebuilt.assign("Q", [LockSpec("R2", interval(1, 2, field="b"))]) == home
 
     def test_procedures_per_shard_counts_homes(self):
         router = ShardRouter(2, domain=100)
-        router.assign("A", [("R1", interval(0, 10))])
-        router.assign("B", [("R1", interval(0, 10))])
-        router.assign("C", [("R1", interval(90, 99))])
+        router.assign("A", [LockSpec("R1", interval(0, 10))])
+        router.assign("B", [LockSpec("R1", interval(0, 10))])
+        router.assign("C", [LockSpec("R1", interval(90, 99))])
         assert router.procedures_per_shard() == [2, 1]
         assert router.num_procedures == 3
 
@@ -250,39 +252,43 @@ class TestAssignment:
 class TestRouting:
     def test_miss_routes_nowhere(self):
         router = ShardRouter(4, domain=100)
-        router.assign("P", [("R1", interval(10, 20))])
+        router.assign("P", [LockSpec("R1", interval(10, 20))])
         assert router.route_values("R1", [{"sel": 70}]) == ()
 
     def test_hit_routes_home(self):
         router = ShardRouter(4, domain=100)
-        home = router.assign("P", [("R1", interval(10, 20))])
+        home = router.assign("P", [LockSpec("R1", interval(10, 20))])
         assert router.route_values("R1", [{"sel": 15}]) == (home,)
 
     def test_whole_relation_coverage_is_catch_all(self):
         router = ShardRouter(4, domain=100)
-        home = router.assign("P", [("R3", None)])
+        home = router.assign("P", [LockSpec("R3")])
         assert home in router.route_values("R3", [{"c": 1}])
 
     def test_unbounded_interval_is_catch_all(self):
         router = ShardRouter(4, domain=100)
-        home = router.assign("P", [("R2", KeyInterval("b", None, None))])
+        home = router.assign("P", [LockSpec("R2", KeyInterval("b", None, None))])
         assert home in router.route_values("R2", [{"b": 123456}])
 
     def test_route_runs_matches_route_values(self):
-        from repro.locks.ilocks import SortedValueRuns
-
         router = ShardRouter(8, domain=512)
         for i in range(20):
             lo = (i * 37) % 500
-            router.assign(f"P{i}", [("R1", interval(lo, lo + 11))])
+            router.assign(f"P{i}", [LockSpec("R1", interval(lo, lo + 11))])
         changed = [{"sel": v} for v in (3, 88, 200, 311, 499)]
         by_values = router.route_values("R1", changed)
         by_runs = router.route_runs("R1", SortedValueRuns.from_dicts(changed))
         assert by_runs == by_values
 
+    def test_empty_write_routes_nowhere(self):
+        """Zero changed rows break no i-lock, not even a catch-all."""
+        router = ShardRouter(4, domain=100)
+        router.assign("P", [LockSpec("R1")])
+        assert router.route_runs("R1", SortedValueRuns(("sel",), [])) == ()
+
     def test_stats_track_fanout(self):
         router = ShardRouter(4, domain=100)
-        router.assign("P", [("R1", interval(10, 20))])
+        router.assign("P", [LockSpec("R1", interval(10, 20))])
         router.route_values("R1", [{"sel": 15}])
         router.route_values("R1", [{"sel": 70}])
         stats = router.stats()
