@@ -36,6 +36,11 @@ run python -m pytest tests/test_shard_differential.py -q
 run python -m pytest tests/test_shard_chaos.py -q
 run python -m pytest tests/test_serve_differential.py -q
 
+# Define-path gates, mirroring CI: one compile per distinct query, the
+# population's plan digest pinned, no RNG in a cold cache store.
+run python -m pytest tests/test_define_path.py \
+    tests/test_hot_path_golden.py -q
+
 # Interval registry properties, mirroring CI: CI, the serve cache and
 # the shard router share one i-lock table.
 run python -m pytest tests/test_ilocks_property.py \

@@ -68,6 +68,9 @@ class CacheAndInvalidate(ProcedureStrategy):
         self.scheme = scheme
         self._optimizer = Optimizer(catalog)
         self._plans: dict[str, Plan] = {}
+        #: One result schema per (relations, projection): the plan's
+        #: output schema depends on nothing else.
+        self._schemas: dict[tuple, Schema] = {}
         self._caches: dict[str, MaterializedStore] = {}
         self._valid: dict[str, bool] = {}
         self._locks = ILockTable()
@@ -79,10 +82,14 @@ class CacheAndInvalidate(ProcedureStrategy):
     def _after_define(self, procedure: DatabaseProcedure) -> None:
         plan = self._optimizer.compile_normalized(procedure.query)
         self._plans[procedure.name] = plan
-        ctx_schema = self._result_schema(plan)
+        query = procedure.query
+        key = (tuple(query.relations), query.projection)
+        schema = self._schemas.get(key)
+        if schema is None:
+            schema = self._schemas[key] = self._result_schema(plan)
         self._caches[procedure.name] = MaterializedStore(
             f"cache.{procedure.name}",
-            ctx_schema,
+            schema,
             self.buffer,
             seed=len(self._caches),
         )

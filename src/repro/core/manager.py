@@ -30,6 +30,7 @@ from repro.storage.page import RID
 from repro.storage.tuples import Row
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.query.analysis import SPJQuery
     from repro.storage.catalog import Relation
 
 
@@ -77,6 +78,11 @@ class ProcedureManager:
         self.update_listener: (
             Callable[[str, list[Row], list[Row]], object] | None
         ) = None
+        #: One normal form per distinct expression, keyed by its ``repr``
+        #: (type-exact: ``1``, ``1.0`` and ``True`` compare equal but
+        #: must not share a query). Nothing mutates an ``SPJQuery`` once
+        #: ``normalize_spj`` returns it, so identical procedures share one.
+        self._normal_forms: dict[str, SPJQuery] = {}
 
     # -- definition -------------------------------------------------------
 
@@ -95,12 +101,22 @@ class ProcedureManager:
 
             expression = parse_retrieve(expression)
         before = self.clock.snapshot()
-        procedure = DatabaseProcedure(name, expression).bind(self.catalog)
+        procedure = DatabaseProcedure(name, expression)
+        key = repr(expression)
+        if key in self._normal_forms:
+            procedure.query = self._normal_forms[key]
+        else:
+            self._normal_forms[key] = procedure.bind(self.catalog).query
         self.strategy.define(procedure)
-        charged = self.clock.elapsed_since(before)
-        if charged:
+        after = self.clock.snapshot()
+        if after != before:
+            moved = {
+                counter: count
+                for counter, count in vars(after - before).items()
+                if count
+            }
             raise RuntimeError(
-                f"strategy {self.strategy.strategy_name} charged {charged} ms "
+                f"strategy {self.strategy.strategy_name} moved {moved} "
                 "during definition; definition must be cost-free"
             )
         return procedure

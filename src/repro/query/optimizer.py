@@ -47,6 +47,12 @@ class Optimizer:
             e.g. an interval covering most of a relation compiles to a
             sequential scan even though a B-tree exists. When False, any
             usable index wins (the naive rule, kept for tests/ablation).
+
+    A plan is compiled once per procedure, but a population of
+    parameterised procedures repeats its restrictions: the access-path
+    choice (two cost estimates) is remembered per distinct restriction in
+    the estimator's ``access_paths`` and dropped with its statistics by
+    :meth:`CostEstimator.refresh <repro.query.stats.CostEstimator.refresh>`.
     """
 
     def __init__(self, catalog: Catalog, cost_based: bool = True) -> None:
@@ -64,6 +70,19 @@ class Optimizer:
         return self._estimator
 
     def _access_path(self, relation_name: str, terms: list[Predicate]) -> Plan:
+        """The driving relation's access path, chosen once per distinct
+        (relation, its B-tree fields, restriction terms) until the
+        estimator's statistics are refreshed. The terms are keyed by
+        ``repr``, which tells ``1``, ``1.0`` and ``True`` apart."""
+        relation = self.catalog.get(relation_name)
+        key = (relation_name, tuple(relation.btree_indexes), repr(terms))
+        chosen = self.estimator.access_paths.get(key)
+        if chosen is None:
+            chosen = self._choose_access_path(relation_name, terms)
+            self.estimator.access_paths[key] = chosen
+        return chosen
+
+    def _choose_access_path(self, relation_name: str, terms: list[Predicate]) -> Plan:
         relation = self.catalog.get(relation_name)
         candidates: list[Plan] = []
         for i, term in enumerate(terms):

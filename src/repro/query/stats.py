@@ -146,6 +146,10 @@ class CostEstimator:
         self.catalog = catalog
         self.costs = cost_params if cost_params is not None else CostParams()
         self._stats: dict[str, RelationStats] = {}
+        #: The optimizer's access-path choices priced from these
+        #: statistics, keyed by (relation, its B-tree fields, repr of the
+        #: restriction terms); :meth:`refresh` drops them with the stats.
+        self.access_paths: dict[tuple[str, tuple[str, ...], str], Plan] = {}
 
     def stats_for(self, relation_name: str) -> RelationStats:
         """Statistics for ``relation_name`` (collected once, then cached)."""
@@ -156,7 +160,9 @@ class CostEstimator:
         return stats
 
     def refresh(self, relation_name: str | None = None) -> None:
-        """Drop cached statistics (all, or one relation's)."""
+        """Drop cached statistics (all, or one relation's) and every
+        access-path choice priced from them."""
+        self.access_paths.clear()
         if relation_name is None:
             self._stats.clear()
         else:

@@ -43,7 +43,10 @@ class MaterializedStore:
             of join arity, so callers may pass a schema with an overridden
             width.
         buffer: buffer pool (charges the shared clock).
-        seed: RNG seed for row placement.
+        seed: RNG seed for row placement. The first :meth:`_place`, the
+            RNG's only reader, builds the RNG, so a store that is never
+            filled (most of a large population's) holds none, and placement
+            draws what an RNG built here would.
     """
 
     def __init__(
@@ -56,7 +59,8 @@ class MaterializedStore:
         self.tuples_per_page = max(1, disk.block_bytes // schema.tuple_bytes)
         if not disk.has_file(name):
             disk.create_file(name)
-        self._rng = random.Random(seed)
+        self.seed = seed
+        self._rng: random.Random | None = None
         self._rids: dict[Row, list[RID]] = {}
         self._free_pages: list[int] = []
         self._directories: dict[str, dict[Any, list[RID]]] = {}
@@ -94,6 +98,8 @@ class MaterializedStore:
             # they touch (including fresh ones) after placement.
             page = disk.allocate_page(self.name, self.tuples_per_page, charge=False)
             self._free_pages.append(page.page_no)
+        if self._rng is None:
+            self._rng = random.Random(self.seed)
         page_no = self._rng.choice(self._free_pages)
         page = disk.peek_page(self.name, page_no)
         slot_no = page.insert(row)
